@@ -3,7 +3,14 @@
 // figure benches and trial averaging reproducible.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "core/epoch_driver.hpp"
+#include "core/repartitioner.hpp"
+#include "hypergraph/convert.hpp"
+#include "parallel/par_partitioner.hpp"
+#include "partition/partitioner.hpp"
 #include "workload/datasets.hpp"
 #include "workload/experiment.hpp"
 #include "workload/perturb.hpp"
@@ -84,6 +91,110 @@ TEST(Determinism, DifferentSeedsChangeTheSequence) {
                 b.epochs[e].cost.migration_volume;
   }
   EXPECT_TRUE(any_diff);
+}
+
+/// FNV-1a over the part id of every vertex, in vertex order.
+std::uint64_t assignment_hash(const Partition& p) {
+  std::uint64_t hash = 14695981039346656037ULL;
+  for (const PartId q : p.assignment) {
+    auto bits = static_cast<std::uint32_t>(q.v);
+    for (int byte = 0; byte < 4; ++byte) {
+      hash ^= bits & 0xFFU;
+      hash *= 1099511628211ULL;
+      bits >>= 8;
+    }
+  }
+  return hash;
+}
+
+struct GoldenRow {
+  const char* dataset;
+  std::uint64_t seed;
+  std::uint64_t rb;             // recursive bisection
+  std::uint64_t kway;           // direct k-way
+  std::uint64_t rb_post;        // RB + k-way post-pass + one V-cycle
+  std::uint64_t par_global;     // 2 ranks, global IPM
+  std::uint64_t par_local;      // 2 ranks, local IPM
+  std::uint64_t repart;         // hypergraph_repartition, alpha = 100
+};
+
+// Partitions of the five Table-1 analogs at scale 0.02 under every
+// hypergraph entry point. Any change to RNG draw order, coarsening stop
+// rules or refinement moves shows up here; regenerate only when the
+// algorithm changes on purpose.
+constexpr GoldenRow kGolden[] = {
+  {"xyce680s-like", 1, 0xe60fb1795a689c7dULL, 0x66f6b8ba3472c83cULL,
+   0x06003cbcedda350bULL, 0x067d27879a37ec89ULL, 0x5ca75cb3ae793f7aULL,
+   0xa6a131fab1ca9aafULL},
+  {"xyce680s-like", 17, 0xa1539f9c925ebdfdULL, 0x4d2044f0aef49e66ULL,
+   0xa4c0db1fe7e53dabULL, 0x6c392745efd713acULL, 0x091a7d81596ec3a1ULL,
+   0x43871aaa85a9a06cULL},
+  {"2DLipid-like", 1, 0x7aa230b0c4397e28ULL, 0x20ed53467fee533aULL,
+   0x9d9124c33b1b5c48ULL, 0xc8da205d69d92e28ULL, 0xc8da205d69d92e28ULL,
+   0x792fca41ee432a28ULL},
+  {"2DLipid-like", 17, 0xa70407ab86791e78ULL, 0xcf3b659d4fdfae98ULL,
+   0xcd408b890fec3952ULL, 0xee97a08f204f1a5aULL, 0xee97a08f204f1a5aULL,
+   0x792fca41ee432a28ULL},
+  {"auto-like", 1, 0x62206aa39f0d0de5ULL, 0x7410784b0559142eULL,
+   0xc032d1cfbc6608edULL, 0x246e66ea49f18d69ULL, 0x4201310b1c40ac1aULL,
+   0x41916b9e72081225ULL},
+  {"auto-like", 17, 0xd0b4b410881de005ULL, 0x82414f5a48f39a72ULL,
+   0xd0b4b410881de005ULL, 0xf6b689d936610a86ULL, 0x5875bd9f4aeb06dcULL,
+   0x41916b9e72081225ULL},
+  {"apoa1-like", 1, 0x0fddbbc00ef244fdULL, 0x406cbbb1aa5d7375ULL,
+   0x6e25b6138f6f34f5ULL, 0x9ad3f1a0920821b5ULL, 0x9ad3f1a0920821b5ULL,
+   0x089ff519c9b741cdULL},
+  {"apoa1-like", 17, 0x42783fc89698cb4dULL, 0x0627cd8d788f2f45ULL,
+   0xb88a3bd8f08acfc5ULL, 0x9b0981611377c4e5ULL, 0x9b0981611377c4e5ULL,
+   0x089ff519c9b741cdULL},
+  {"cage14-like", 1, 0x82cf9ca5587350b0ULL, 0xf72162b4dd8e88d4ULL,
+   0x39d853fee80644afULL, 0x05731c45a4a8a899ULL, 0x8b717e8bfe2a4a93ULL,
+   0x1a3de6cebece9231ULL},
+  {"cage14-like", 17, 0xf490e390bfd96611ULL, 0x42dc05c86d62f223ULL,
+   0xb1c3bfe181f6428eULL, 0x53db589019e5cc64ULL, 0x6c77e5a8d4b4acb6ULL,
+   0x34d53aeefc3ee2a0ULL},
+};
+
+TEST(Determinism, GoldenPartitionHashes) {
+  constexpr Index kParts = 16;
+  for (const GoldenRow& row : kGolden) {
+    SCOPED_TRACE(std::string(row.dataset) + " seed " +
+                 std::to_string(row.seed));
+    const Hypergraph h =
+        graph_to_hypergraph(make_dataset(row.dataset, 0.02, 1));
+    PartitionConfig cfg;
+    cfg.num_parts = kParts;
+    cfg.seed = row.seed;
+
+    EXPECT_EQ(assignment_hash(partition_hypergraph(h, cfg)), row.rb);
+
+    PartitionConfig kway = cfg;
+    kway.kway_method = KwayMethod::kDirectKway;
+    EXPECT_EQ(assignment_hash(partition_hypergraph(h, kway)), row.kway);
+
+    PartitionConfig post = cfg;
+    post.kway_postpass = true;
+    post.num_vcycles = 1;
+    EXPECT_EQ(assignment_hash(partition_hypergraph(h, post)), row.rb_post);
+
+    ParallelPartitionConfig par;
+    par.num_ranks = 2;
+    par.base = cfg;
+    EXPECT_EQ(assignment_hash(parallel_partition_hypergraph(h, par).partition),
+              row.par_global);
+    par.local_matching = true;
+    EXPECT_EQ(assignment_hash(parallel_partition_hypergraph(h, par).partition),
+              row.par_local);
+
+    PartitionConfig old_cfg = cfg;
+    old_cfg.seed = 99;
+    const Partition old_p = partition_hypergraph(h, old_cfg);
+    RepartitionerConfig rcfg;
+    rcfg.partition = cfg;
+    rcfg.alpha = 100;
+    EXPECT_EQ(assignment_hash(hypergraph_repartition(h, old_p, rcfg).partition),
+              row.repart);
+  }
 }
 
 }  // namespace
