@@ -6,6 +6,7 @@
 #include "common/assert.hpp"
 #include "graphpart/gcoarsen.hpp"
 #include "graphpart/grefine.hpp"
+#include "partition/multilevel.hpp"
 
 namespace hgr {
 
@@ -19,10 +20,8 @@ Partition adaptive_repartition(const Graph& g, const Partition& old_p,
   Rng rng(cfg.base.seed);
   const Index stop_size =
       std::max<Index>(cfg.base.coarsen_to, 4 * cfg.base.num_parts);
-  const Weight max_vertex_weight = std::max<Weight>(
-      1, static_cast<Weight>(cfg.base.max_coarse_weight_factor *
-                             static_cast<double>(g.total_vertex_weight()) /
-                             std::max<Index>(1, stop_size)));
+  const Weight max_vertex_weight =
+      max_coarse_vertex_weight(g.total_vertex_weight(), stop_size, cfg.base);
 
   // Coarsen with same-old-part ("local") matching; the old assignment of a
   // coarse vertex is the shared old assignment of its constituents.

@@ -7,6 +7,7 @@
 #include "graphpart/gcoarsen.hpp"
 #include "graphpart/ginitial.hpp"
 #include "graphpart/grefine.hpp"
+#include "partition/multilevel.hpp"
 
 namespace hgr {
 
@@ -17,10 +18,8 @@ Partition partition_graph(const Graph& g, const PartitionConfig& cfg) {
 
   Rng rng(cfg.seed);
   const Index stop_size = std::max<Index>(cfg.coarsen_to, 4 * cfg.num_parts);
-  const Weight max_vertex_weight = std::max<Weight>(
-      1, static_cast<Weight>(cfg.max_coarse_weight_factor *
-                             static_cast<double>(g.total_vertex_weight()) /
-                             std::max<Index>(1, stop_size)));
+  const Weight max_vertex_weight =
+      max_coarse_vertex_weight(g.total_vertex_weight(), stop_size, cfg);
 
   std::vector<GraphCoarseLevel> levels;
   const Graph* current = &g;

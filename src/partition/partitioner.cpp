@@ -10,9 +10,8 @@
 #include "metrics/balance.hpp"
 #include "metrics/cut.hpp"
 #include "obs/trace.hpp"
-#include "partition/contract.hpp"
 #include "partition/kway_refine.hpp"
-#include "partition/matching_ipm.hpp"
+#include "partition/multilevel.hpp"
 #include "partition/recursive_bisect.hpp"
 
 namespace hgr {
@@ -75,71 +74,30 @@ Partition greedy_kway_initial(const Hypergraph& h, const PartitionConfig& cfg,
 
 }  // namespace
 
-void record_coarsen_level(Index fine_vertices, Index coarse_vertices,
-                          IdSpan<VertexId, const VertexId> match) {
-  std::uint64_t matched = 0;
-  for (const VertexId v : match.ids())
-    if (match[v] != v) ++matched;
-  static obs::CachedCounter levels_counter("coarsen.levels");
-  static obs::CachedCounter fine_counter("coarsen.fine_vertices");
-  static obs::CachedCounter coarse_counter("coarsen.coarse_vertices");
-  static obs::CachedCounter matched_counter("coarsen.matched_vertices");
-  levels_counter += 1;
-  fine_counter += static_cast<std::uint64_t>(fine_vertices);
-  coarse_counter += static_cast<std::uint64_t>(coarse_vertices);
-  matched_counter += matched;
-}
-
 Partition direct_kway_partition(const Hypergraph& h,
                                 const PartitionConfig& cfg, Workspace* ws) {
   Rng rng(cfg.seed);
-  const Index stop_size =
-      std::max<Index>(cfg.coarsen_to, 2 * cfg.num_parts);
-
+  const CoarseningLimits limits = coarsening_limits(h, cfg, 2 * cfg.num_parts);
   std::vector<CoarseLevel> levels;
-  const Hypergraph* current = &h;
-  const Weight max_vertex_weight = std::max<Weight>(
-      1, static_cast<Weight>(cfg.max_coarse_weight_factor *
-                             static_cast<double>(h.total_vertex_weight()) /
-                             std::max<Index>(1, stop_size)));
   {
     obs::TraceScope coarsen_scope("coarsen");
-    for (Index level = 0; level < cfg.max_levels; ++level) {
-      if (current->num_vertices() <= stop_size) break;
-      const IdVector<VertexId, VertexId> match =
-          ipm_matching(*current, cfg, max_vertex_weight, rng, ws);
-      CoarseLevel next = contract(*current, match, ws);
-      const double reduction =
-          1.0 - static_cast<double>(next.coarse.num_vertices()) /
-                    static_cast<double>(current->num_vertices());
-      if (reduction < cfg.min_coarsen_reduction) break;
-      record_coarsen_level(current->num_vertices(),
-                           next.coarse.num_vertices(), match);
-      check::validate_coarsening(*current, next, cfg.check_level);
-      levels.push_back(std::move(next));
-      current = &levels.back().coarse;
-    }
+    levels = build_ipm_hierarchy(h, cfg, limits, rng, ws);
   }
 
-  Partition p(cfg.num_parts, current->num_vertices());
+  Partition p;
   {
     obs::TraceScope initial_scope("initial");
-    p = greedy_kway_initial(*current, cfg, rng);
-    kway_refine(*current, p, cfg, rng, cfg.max_refine_passes, ws);
+    const Hypergraph& top = coarsest(h, levels);
+    p = greedy_kway_initial(top, cfg, rng);
+    kway_refine(top, p, cfg, rng, cfg.max_refine_passes, ws);
   }
 
   {
     obs::TraceScope refine_scope("refine");
-    for (auto it = levels.rbegin(); it != levels.rend(); ++it) {
-      const Hypergraph& finer =
-          (std::next(it) == levels.rend()) ? h : std::next(it)->coarse;
-      check::validate_coarsening(finer, *it, cfg.check_level, &p);
-      Partition fine_p(cfg.num_parts, finer.num_vertices());
-      for (const VertexId v : finer.vertices())
-        fine_p[v] = p[it->fine_to_coarse[v]];
-      p = std::move(fine_p);
-      kway_refine(finer, p, cfg, rng, cfg.max_refine_passes, ws);
-    }
+    uncoarsen(h, levels, p, cfg.check_level,
+              [&](const Hypergraph& finer, std::size_t) {
+                kway_refine(finer, p, cfg, rng, cfg.max_refine_passes, ws);
+              });
   }
   p.validate();
   return p;
@@ -155,54 +113,9 @@ void refinement_vcycle(const Hypergraph& h, Partition& p,
   std::vector<PartId> part_as_fixed(p.assignment.begin(), p.assignment.end());
   work.set_fixed_parts(std::move(part_as_fixed));
 
-  const Index stop_size = std::max<Index>(cfg.coarsen_to, 2 * cfg.num_parts);
-  const Weight max_vertex_weight = std::max<Weight>(
-      1, static_cast<Weight>(cfg.max_coarse_weight_factor *
-                             static_cast<double>(h.total_vertex_weight()) /
-                             std::max<Index>(1, stop_size)));
-
-  struct VLevel {
-    CoarseLevel cl;
-    IdVector<VertexId, PartId> orig_fixed;  // true constraints at this level
-  };
-  std::vector<VLevel> levels;
-
-  // True fixed labels at the current (finest) level, keyed by that level's
-  // vertex ids.
-  IdVector<VertexId, PartId> fixed_now;
-  if (h.has_fixed())
-    // hgr-lint: raw-ok (bulk copy of the fixed-label array, same id space)
-    fixed_now.raw().assign(h.fixed_parts().begin(), h.fixed_parts().end());
-
-  const Hypergraph* current = &work;
-  for (Index level = 0; level < cfg.max_levels; ++level) {
-    if (current->num_vertices() <= stop_size) break;
-    const IdVector<VertexId, VertexId> match =
-        ipm_matching(*current, cfg, max_vertex_weight, rng, ws);
-    VLevel next;
-    next.cl = contract(*current, match, ws);
-    const double reduction =
-        1.0 - static_cast<double>(next.cl.coarse.num_vertices()) /
-                  static_cast<double>(current->num_vertices());
-    if (reduction < cfg.min_coarsen_reduction) break;
-    check::validate_coarsening(*current, next.cl, cfg.check_level);
-    // Propagate the *true* fixed constraints to the coarse level.
-    if (!fixed_now.empty()) {
-      IdVector<VertexId, PartId> coarse_fixed(
-          next.cl.coarse.num_vertices(), kNoPart);
-      for (const VertexId v : next.cl.fine_to_coarse.ids()) {
-        const PartId f = fixed_now[v];
-        if (f == kNoPart) continue;
-        PartId& cf = coarse_fixed[next.cl.fine_to_coarse[v]];
-        HGR_ASSERT(cf == kNoPart || cf == f);
-        cf = f;
-      }
-      next.orig_fixed = coarse_fixed;
-      fixed_now = std::move(coarse_fixed);
-    }
-    levels.push_back(std::move(next));
-    current = &levels.back().cl.coarse;
-  }
+  const CoarseningLimits limits = coarsening_limits(h, cfg, 2 * cfg.num_parts);
+  std::vector<CoarseLevel> levels =
+      build_ipm_hierarchy(work, cfg, limits, rng, ws);
 
   if (levels.empty()) {
     // Nothing coarsened; a plain refinement sweep still helps.
@@ -212,28 +125,41 @@ void refinement_vcycle(const Hypergraph& h, Partition& p,
 
   // The coarse partition is encoded in the contraction-propagated
   // "fixed" labels (every vertex was fixed to its part).
-  Partition cp(cfg.num_parts, levels.back().cl.coarse.num_vertices());
-  for (const VertexId v : levels.back().cl.coarse.vertices()) {
-    const PartId f = levels.back().cl.coarse.fixed_part(v);
+  Partition cp(cfg.num_parts, levels.back().coarse.num_vertices());
+  for (const VertexId v : levels.back().coarse.vertices()) {
+    const PartId f = levels.back().coarse.fixed_part(v);
     HGR_ASSERT(f != kNoPart);
     cp[v] = f;
   }
 
-  // Refine down the hierarchy with only the true constraints fixed.
-  for (std::size_t i = levels.size(); i-- > 0;) {
-    Hypergraph& level_h = levels[i].cl.coarse;
-    level_h.set_fixed_parts(
-        std::vector<PartId>(levels[i].orig_fixed.begin(),
-                            levels[i].orig_fixed.end()));
-    kway_refine(level_h, cp, cfg, rng, cfg.max_refine_passes, ws);
-    // Project to the next finer level.
-    const Hypergraph& finer = (i == 0) ? h : levels[i - 1].cl.coarse;
-    Partition fine_p(cfg.num_parts, finer.num_vertices());
-    for (const VertexId v : finer.vertices())
-      fine_p[v] = cp[levels[i].cl.fine_to_coarse[v]];
-    cp = std::move(fine_p);
+  // Refine with only the true constraints fixed: propagate h's fixed
+  // labels down the hierarchy, replacing the part-as-fixed labels.
+  IdVector<VertexId, PartId> fixed_now;
+  if (h.has_fixed())
+    // hgr-lint: raw-ok (bulk copy of the fixed-label array, same id space)
+    fixed_now.raw().assign(h.fixed_parts().begin(), h.fixed_parts().end());
+  for (CoarseLevel& level : levels) {
+    IdVector<VertexId, PartId> coarse_fixed;
+    if (!fixed_now.empty()) {
+      coarse_fixed.assign(level.coarse.num_vertices(), kNoPart);
+      for (const VertexId v : level.fine_to_coarse.ids()) {
+        const PartId f = fixed_now[v];
+        if (f == kNoPart) continue;
+        PartId& cf = coarse_fixed[level.fine_to_coarse[v]];
+        HGR_ASSERT(cf == kNoPart || cf == f);
+        cf = f;
+      }
+    }
+    // hgr-lint: raw-ok (handing the label array to set_fixed_parts)
+    level.coarse.set_fixed_parts(coarse_fixed.raw());
+    fixed_now = std::move(coarse_fixed);
   }
-  kway_refine(h, cp, cfg, rng, cfg.max_refine_passes, ws);
+
+  kway_refine(levels.back().coarse, cp, cfg, rng, cfg.max_refine_passes, ws);
+  uncoarsen(h, levels, cp, cfg.check_level,
+            [&](const Hypergraph& finer, std::size_t) {
+              kway_refine(finer, cp, cfg, rng, cfg.max_refine_passes, ws);
+            });
 
   // V-cycles must never regress.
   if (connectivity_cut(h, cp) <= connectivity_cut(h, p)) p = std::move(cp);

@@ -15,13 +15,6 @@
 
 namespace hgr {
 
-/// Bump the obs coarsening counters for one accepted level: level count,
-/// fine/coarse vertex totals (contraction ratio) and matched vertices
-/// (match fraction). Shared by the serial, bisection, and parallel
-/// coarsening loops.
-void record_coarsen_level(Index fine_vertices, Index coarse_vertices,
-                          IdSpan<VertexId, const VertexId> match);
-
 /// Compute a k-way partition of h honoring h.fixed_part() constraints and
 /// the Eq. 1 balance tolerance cfg.epsilon (best effort when fixed vertices
 /// make strict balance unattainable). Deterministic for fixed

@@ -9,10 +9,8 @@
 #include "common/csr_utils.hpp"
 #include "metrics/balance.hpp"
 #include "obs/trace.hpp"
-#include "partition/contract.hpp"
-#include "partition/partitioner.hpp"  // record_coarsen_level
 #include "partition/initial.hpp"
-#include "partition/matching_ipm.hpp"
+#include "partition/multilevel.hpp"
 #include "partition/refine_fm.hpp"
 
 namespace hgr {
@@ -160,62 +158,31 @@ IdVector<VertexId, PartId> multilevel_bisect(const Hypergraph& h,
                                              const BisectionTargets& targets,
                                              const PartitionConfig& cfg,
                                              Rng& rng, Workspace* ws) {
-  const Index stop_size = std::max<Index>(cfg.coarsen_to, 20);
-
-  // Coarsening: IPM matching + contraction until small or stalled.
+  const CoarseningLimits limits = coarsening_limits(h, cfg, 20);
   std::vector<CoarseLevel> levels;
-  const Hypergraph* current = &h;
-  const Weight max_vertex_weight = std::max<Weight>(
-      1, static_cast<Weight>(cfg.max_coarse_weight_factor *
-                             static_cast<double>(h.total_vertex_weight()) /
-                             std::max<Index>(1, stop_size)));
   {
     obs::TraceScope coarsen_scope("coarsen");
-    for (Index level = 0; level < cfg.max_levels; ++level) {
-      if (current->num_vertices() <= stop_size) break;
-      const IdVector<VertexId, VertexId> match =
-          ipm_matching(*current, cfg, max_vertex_weight, rng, ws);
-      CoarseLevel next = contract(*current, match, ws);
-      const double reduction =
-          1.0 - static_cast<double>(next.coarse.num_vertices()) /
-                    static_cast<double>(current->num_vertices());
-      if (reduction < cfg.min_coarsen_reduction) break;  // stalled
-      record_coarsen_level(current->num_vertices(),
-                           next.coarse.num_vertices(), match);
-      check::validate_coarsening(*current, next, cfg.check_level);
-      levels.push_back(std::move(next));
-      current = &levels.back().coarse;
-    }
+    levels = build_ipm_hierarchy(h, cfg, limits, rng, ws);
   }
 
   // Coarsest partitioning: randomized greedy growing, several trials, then
   // FM polish.
-  IdVector<VertexId, PartId> side;
+  Partition p(2, 0);
   {
     obs::TraceScope initial_scope("initial");
-    side = initial_bisection(*current, targets, cfg.num_initial_trials, rng);
-    fm_refine_bisection(*current, side, targets, cfg, rng, ws);
+    const Hypergraph& top = coarsest(h, levels);
+    p.assignment = initial_bisection(top, targets, cfg.num_initial_trials, rng);
+    fm_refine_bisection(top, p.assignment, targets, cfg, rng, ws);
   }
 
-  // Uncoarsening: project and refine at each level.
   {
     obs::TraceScope refine_scope("refine");
-    for (auto it = levels.rbegin(); it != levels.rend(); ++it) {
-      const Hypergraph& finer =
-          (std::next(it) == levels.rend()) ? h : std::next(it)->coarse;
-      if (check::paranoid(cfg.check_level)) {
-        Partition coarse_p(2, it->coarse.num_vertices());
-        coarse_p.assignment = side;
-        check::validate_coarsening(finer, *it, cfg.check_level, &coarse_p);
-      }
-      IdVector<VertexId, PartId> fine_side(finer.num_vertices());
-      for (const VertexId v : finer.vertices())
-        fine_side[v] = side[it->fine_to_coarse[v]];
-      side = std::move(fine_side);
-      fm_refine_bisection(finer, side, targets, cfg, rng, ws);
-    }
+    uncoarsen(h, levels, p, cfg.check_level,
+              [&](const Hypergraph& finer, std::size_t) {
+                fm_refine_bisection(finer, p.assignment, targets, cfg, rng, ws);
+              });
   }
-  return side;
+  return std::move(p.assignment);
 }
 
 Partition recursive_bisection_partition(const Hypergraph& h,
