@@ -1,9 +1,8 @@
 // Ablations of the design choices DESIGN.md calls out:
-//   1. gain queue backend: heap vs classic FM buckets;
-//   2. k-way method: recursive bisection (Zoltan's path) vs direct k-way;
-//   3. V-cycles and the k-way post-pass;
-//   4. coarse-partitioning restarts (1 vs 8 trials);
-//   5. matching constraint: fixed-aware IPM vs matching disabled
+//   1. k-way method: recursive bisection (Zoltan's path) vs direct k-way;
+//   2. V-cycles and the k-way post-pass;
+//   3. coarse-partitioning restarts (1 vs 8 trials);
+//   4. matching constraint: fixed-aware IPM vs matching disabled
 //      (coarsening depth impact).
 // Reports connectivity-1 cut and wall time on a mid-size instance.
 #include <cstdio>
@@ -52,11 +51,7 @@ int main(int argc, char** argv) {
   base.epsilon = 0.05;
   base.seed = 11;
 
-  report("baseline (RB + heap queue)", h, base);
-
-  PartitionConfig bucket = base;
-  bucket.gain_queue = GainQueueKind::kBucket;
-  report("gain queue: FM buckets", h, bucket);
+  report("baseline (RB)", h, base);
 
   PartitionConfig kway = base;
   kway.kway_method = KwayMethod::kDirectKway;

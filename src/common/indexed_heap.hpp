@@ -1,11 +1,10 @@
 // Indexed binary max-heap: a priority queue over item ids 0..n-1 with
 // O(log n) insert / remove / adjust and O(1) top.
 //
-// FM refinement classically uses gain buckets (see bucket_pq.hpp), but the
-// repartitioning model scales net costs by alpha (up to 1000), so gains can
-// span millions and bucket arrays would dwarf the hypergraph. The heap's
-// range-independence makes it the default gain queue; the bucket queue is
-// kept as a config option and ablation subject for the unscaled case.
+// FM's gain queue. Classic FM uses gain buckets, but the repartitioning
+// model scales net costs by alpha (up to 1000), so gains can span millions
+// and bucket arrays would dwarf the hypergraph; the heap's cost does not
+// depend on the gain range.
 #pragma once
 
 #include <vector>

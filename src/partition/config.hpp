@@ -19,11 +19,6 @@ enum class KwayMethod {
   kDirectKway,          // extension: direct k-way coarse + k-way FM
 };
 
-enum class GainQueueKind {
-  kHeap,    // indexed binary heap: range-independent (default)
-  kBucket,  // classic FM gain buckets: O(1) but gain-range-bounded
-};
-
 /// Two-tier epoch routing (docs/INCREMENTAL.md): whether an epoch may be
 /// served by the O(delta) incremental fast path instead of a full V-cycle.
 enum class IncrementalMode {
@@ -84,7 +79,6 @@ struct PartitionConfig {
   Index fm_move_limit = 350;
 
   KwayMethod kway_method = KwayMethod::kRecursiveBisection;
-  GainQueueKind gain_queue = GainQueueKind::kHeap;
 
   /// Extra direct k-way refinement sweep over the final partition.
   bool kway_postpass = false;

@@ -5,9 +5,9 @@
 #include <limits>
 
 #include "common/assert.hpp"
+#include "common/indexed_heap.hpp"
 #include "obs/trace.hpp"
 #include "partition/gain_cache.hpp"
-#include "partition/gain_queue.hpp"
 
 namespace hgr {
 
@@ -38,7 +38,9 @@ class FmPass {
         locked_(ws),
         gain_(ws),
         stash_(ws),
-        cache_(h, 2, side, ws) {
+        cache_(h, 2, side, ws),
+        queues_{IndexedMaxHeap(h.num_vertices()),
+                IndexedMaxHeap(h.num_vertices())} {
     locked_->assign(static_cast<std::size_t>(h.num_vertices()), false);
     gain_->assign(static_cast<std::size_t>(h.num_vertices()), 0);
     for (const VertexId v : h_.vertices())
@@ -87,8 +89,8 @@ class FmPass {
     for (Index i = static_cast<Index>(moves->size()); i > best_prefix; --i)
       undo_move(moves[static_cast<std::size_t>(i - 1)]);
 
-    queues_[0]->clear();
-    queues_[1]->clear();
+    queues_[0].clear();
+    queues_[1].clear();
     return best.better_than(start);
   }
 
@@ -112,16 +114,6 @@ class FmPass {
   }
 
   void build_queues(Rng& rng) {
-    // Max |gain| bound: the heaviest incident-cost sum over all vertices.
-    Weight max_abs = 1;
-    for (const VertexId v : h_.vertices()) {
-      Weight s = 0;
-      for (const NetId net : h_.incident_nets(v)) s += h_.net_cost(net);
-      max_abs = std::max(max_abs, s);
-    }
-    for (int s = 0; s < 2; ++s)
-      queues_[s].emplace(h_.num_vertices(), max_abs, cfg_.gain_queue);
-
     // Random insertion order randomizes tie-breaking between passes.
     // Queues and scratch tables are keyed by raw vertex id.
     Borrowed<Index> order(ws_);
@@ -131,7 +123,7 @@ class FmPass {
       if (!movable(v)) continue;
       locked_[static_cast<std::size_t>(v.v)] = false;
       gain_[static_cast<std::size_t>(v.v)] = compute_gain(v);
-      queues_[side_at(v)]->insert(v.v, gain_[static_cast<std::size_t>(v.v)]);
+      queues_[side_at(v)].insert(v.v, gain_[static_cast<std::size_t>(v.v)]);
     }
     for (const VertexId v : h_.vertices())
       if (!movable(v)) locked_[static_cast<std::size_t>(v.v)] = true;
@@ -155,9 +147,9 @@ class FmPass {
       if (forced != -1 && s != forced) continue;
       const int dest = 1 - s;
       int tries = 0;
-      while (!queues_[s]->empty() && tries < 16) {
-        const VertexId v{queues_[s]->top()};
-        const Weight g = queues_[s]->top_gain();
+      while (!queues_[s].empty() && tries < 16) {
+        const VertexId v{queues_[s].top()};
+        const Weight g = queues_[s].top_key();
         // One-heaviest-vertex slack lets tight-balance swaps be explored
         // mid-pass; the rollback to the best *feasible* prefix restores
         // Eq. 1 at pass end (classic FM practice).
@@ -170,12 +162,12 @@ class FmPass {
           cand_gain[s] = g;
           break;
         }
-        queues_[s]->pop();
+        queues_[s].pop();
         stash.emplace_back(v, g);
         ++tries;
       }
     }
-    for (const auto& [v, g] : stash) queues_[side_at(v)]->insert(v.v, g);
+    for (const auto& [v, g] : stash) queues_[side_at(v)].insert(v.v, g);
 
     if (cand[0] == kInvalidVertex && cand[1] == kInvalidVertex)
       return kInvalidVertex;
@@ -191,7 +183,7 @@ class FmPass {
     if (locked_[static_cast<std::size_t>(u.v)]) return;
     auto& g = gain_[static_cast<std::size_t>(u.v)];
     g += delta;
-    queues_[side_at(u)]->adjust(u.v, g);
+    queues_[side_at(u)].adjust(u.v, g);
   }
 
   /// Routes the gain cache's four delta-gain events into the FM queues:
@@ -219,7 +211,7 @@ class FmPass {
   void apply_move(VertexId v) {
     const int from = side_at(v);
     const int to = 1 - from;
-    queues_[from]->remove(v.v);
+    queues_[from].remove(v.v);
     locked_[static_cast<std::size_t>(v.v)] = true;
     // Distribution of accepted-move gains (signed: FM deliberately takes
     // negative-gain moves to escape local minima; the histogram shows how
@@ -249,7 +241,7 @@ class FmPass {
   Borrowed<Weight> gain_;
   Borrowed<std::pair<VertexId, Weight>> stash_;  // select_move scratch
   GainCache cache_;
-  std::array<std::optional<GainQueue>, 2> queues_;
+  std::array<IndexedMaxHeap, 2> queues_;  // per side, keyed by raw vertex id
   obs::HistogramSnapshot gain_batch_;  // per-pass accumulator, see ~FmPass
   Weight slack_ = 0;  // heaviest movable vertex: intra-pass balance slack
 };

@@ -114,29 +114,6 @@ TEST(FmRefine, KeepsBalanceInvariant) {
   }
 }
 
-TEST(FmRefine, BucketAndHeapQueuesAgreeOnQualityClass) {
-  const Hypergraph h = random_hypergraph(50, 120, 4, 2, 77);
-  const BisectionTargets t = even_targets(h, 0.1);
-  Sides side_heap(50), side_bucket(50);
-  Rng init(5);
-  for (const VertexId v : side_heap.ids())
-    side_heap[v] = side_bucket[v] = PartId{static_cast<Index>(init.below(2))};
-
-  PartitionConfig heap_cfg;
-  heap_cfg.gain_queue = GainQueueKind::kHeap;
-  PartitionConfig bucket_cfg;
-  bucket_cfg.gain_queue = GainQueueKind::kBucket;
-  Rng r1(9), r2(9);
-  const FmResult rh =
-      fm_refine_bisection(h, side_heap, t, heap_cfg, r1);
-  const FmResult rb =
-      fm_refine_bisection(h, side_bucket, t, bucket_cfg, r2);
-  // Both must improve the same start; exact parity is not required (tie
-  // orders differ), but neither may regress.
-  EXPECT_LE(rh.final_cut, rh.initial_cut);
-  EXPECT_LE(rb.final_cut, rb.initial_cut);
-}
-
 TEST(FmRefine, AllFixedMeansNoMoves) {
   HypergraphBuilder b(4);
   b.add_net({0, 1, 2, 3});
