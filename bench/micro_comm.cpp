@@ -71,23 +71,6 @@ double bench_alltoallv(int ranks, std::size_t words, int warmup, int iters) {
   });
 }
 
-/// Reference metric: the vector<vector> compatibility shim (per-call ragged
-/// allocation plus the extra copy pair it implies).
-double bench_alltoallv_ragged(int ranks, std::size_t words, int warmup,
-                              int iters) {
-  return time_collective(ranks, warmup, iters, [words](RankContext& ctx) {
-    // hgr-lint: ragged-ok (measures the ragged compatibility shim)
-    std::vector<std::vector<std::int64_t>> outgoing(
-        static_cast<std::size_t>(ctx.size()));
-    for (int d = 0; d < ctx.size(); ++d)
-      outgoing[static_cast<std::size_t>(d)]
-          .assign(words, static_cast<std::int64_t>(ctx.rank() * 100 + d));
-    const auto incoming = ctx.alltoallv(outgoing);
-    if (incoming.size() != static_cast<std::size_t>(ctx.size()))
-      throw std::runtime_error("alltoallv shape mismatch");
-  });
-}
-
 double bench_allgather(int ranks, std::size_t words, int warmup, int iters) {
   return time_collective(ranks, warmup, iters, [words](RankContext& ctx) {
     const std::vector<std::int64_t> mine(
@@ -127,8 +110,6 @@ int run(const CommBenchOptions& opt) {
         bench_alltoallv(p, kSmallWords, opt.warmup, opt.iters_small));
     add("alltoallv_large" + suffix,
         bench_alltoallv(p, kLargeWords, opt.warmup, opt.iters_large));
-    add("alltoallv_ragged_small" + suffix,
-        bench_alltoallv_ragged(p, kSmallWords, opt.warmup, opt.iters_small));
     add("allgather_small" + suffix,
         bench_allgather(p, kSmallWords, opt.warmup, opt.iters_small));
     add("allgather_large" + suffix,

@@ -21,8 +21,7 @@
 // one's drain fence (a rank can only be one collective ahead of the
 // slowest reader). Rank-local slices never touch the mailboxes (self-send
 // fast path), and allreduce folds fixed-size per-rank slots instead of
-// allgathering vectors. The vector<vector<T>> overloads are compatibility
-// shims over the flat forms.
+// allgathering vectors.
 //
 // Failure model: an exception escaping one rank's function aborts the
 // communicator — every rank blocked in a recv or collective is woken with
@@ -180,21 +179,6 @@ class RankContext {
     return incoming;
   }
 
-  /// Compatibility shim over allgatherv: gather each rank's vector; every
-  /// rank receives one vector per source rank, in rank order.
-  template <typename T>
-  std::vector<std::vector<T>>  // hgr-lint: ragged-ok (compat shim)
-  allgather(const std::vector<T>& mine) {
-    const FlatBuffer<T> flat = allgatherv<T>({mine.data(), mine.size()});
-    std::vector<std::vector<T>> out(  // hgr-lint: ragged-ok (compat shim)
-        static_cast<std::size_t>(size()));
-    for (int s = 0; s < size(); ++s) {
-      const std::span<const T> slice = flat.slot(s);
-      out[static_cast<std::size_t>(s)].assign(slice.begin(), slice.end());
-    }
-    return out;
-  }
-
   /// Reduce one value per rank with `op`, folded in rank order on a fixed
   /// per-rank slot (no vector allgather, no allocation).
   template <typename T, typename Op>
@@ -270,30 +254,6 @@ class RankContext {
                         window_displ(parity, s, rank_),
                     dst.size_bytes());
       if (s != rank_) account_recv(dst.size_bytes(), 1);
-    }
-    return incoming;
-  }
-
-  /// Compatibility shim over the flat alltoallv.
-  template <typename T>
-  std::vector<std::vector<T>> alltoallv(  // hgr-lint: ragged-ok (compat shim)
-      const std::vector<std::vector<T>>& outgoing) {  // hgr-lint: ragged-ok
-    HGR_ASSERT(static_cast<int>(outgoing.size()) == size());
-    FlatBuffer<T> out(size(), &pool());
-    for (int d = 0; d < size(); ++d)
-      out.count(d) = outgoing[static_cast<std::size_t>(d)].size();
-    out.commit_counts();
-    for (int d = 0; d < size(); ++d) {
-      const std::vector<T>& src = outgoing[static_cast<std::size_t>(d)];
-      std::span<T> dst = out.push_n(d, src.size());
-      if (!dst.empty()) std::memcpy(dst.data(), src.data(), dst.size_bytes());
-    }
-    const FlatBuffer<T> flat = alltoallv(out);
-    std::vector<std::vector<T>> incoming(  // hgr-lint: ragged-ok (compat shim)
-        static_cast<std::size_t>(size()));
-    for (int s = 0; s < size(); ++s) {
-      const std::span<const T> slice = flat.slot(s);
-      incoming[static_cast<std::size_t>(s)].assign(slice.begin(), slice.end());
     }
     return incoming;
   }

@@ -85,21 +85,22 @@ TEST(CommStress, RepeatedCollectivesStayInLockstep) {
 TEST(CommStress, AlltoallvAsymmetricSizes) {
   Comm comm(3);
   comm.run([](RankContext& ctx) {
-    std::vector<std::vector<std::int32_t>> out(3);
+    FlatBuffer<std::int32_t> out = ctx.make_buffer<std::int32_t>();
     // Rank r sends r+1 copies of its rank to each destination d != r.
-    for (int d = 0; d < 3; ++d) {
-      if (d == ctx.rank()) continue;
-      out[static_cast<std::size_t>(d)]
-          .assign(static_cast<std::size_t>(ctx.rank() + 1), ctx.rank());
-    }
-    const auto in = ctx.alltoallv(out);
+    const auto copies = static_cast<std::size_t>(ctx.rank() + 1);
+    for (int d = 0; d < 3; ++d)
+      if (d != ctx.rank()) out.count(d) = copies;
+    out.commit_counts();
+    for (int d = 0; d < 3; ++d)
+      if (d != ctx.rank())
+        for (std::size_t i = 0; i < copies; ++i) out.push(d, ctx.rank());
+    const FlatBuffer<std::int32_t> in = ctx.alltoallv(out);
     for (int s = 0; s < 3; ++s) {
       if (s == ctx.rank()) {
-        EXPECT_TRUE(in[static_cast<std::size_t>(s)].empty());
+        EXPECT_TRUE(in.slot(s).empty());
       } else {
-        ASSERT_EQ(in[static_cast<std::size_t>(s)].size(),
-                  static_cast<std::size_t>(s + 1));
-        for (const auto x : in[static_cast<std::size_t>(s)]) EXPECT_EQ(x, s);
+        ASSERT_EQ(in.slot(s).size(), static_cast<std::size_t>(s + 1));
+        for (const auto x : in.slot(s)) EXPECT_EQ(x, s);
       }
     }
   });

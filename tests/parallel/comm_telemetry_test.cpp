@@ -70,7 +70,8 @@ TEST(CommTelemetry, CollectiveCallsCountedPerRank) {
   comm.run([](RankContext& ctx) {
     ctx.barrier();
     ctx.barrier();
-    ctx.allgather(std::vector<std::int32_t>{ctx.rank()});
+    const std::int32_t mine = ctx.rank();
+    ctx.allgatherv<std::int32_t>({&mine, 1});
     ctx.allreduce_sum(std::int64_t{1});
   });
   const CommTelemetry t = comm.telemetry();

@@ -76,12 +76,13 @@ TEST(Comm, AllgatherCollectsInRankOrder) {
   Comm comm(4);
   comm.run([](RankContext& ctx) {
     const std::vector<std::int32_t> mine{ctx.rank(), ctx.rank() * 10};
-    const auto all = ctx.allgather(mine);
-    ASSERT_EQ(all.size(), 4u);
+    const FlatBuffer<std::int32_t> all =
+        ctx.allgatherv<std::int32_t>({mine.data(), mine.size()});
+    ASSERT_EQ(all.slots(), 4);
     for (int r = 0; r < 4; ++r) {
-      ASSERT_EQ(all[static_cast<std::size_t>(r)].size(), 2u);
-      EXPECT_EQ(all[static_cast<std::size_t>(r)][0], r);
-      EXPECT_EQ(all[static_cast<std::size_t>(r)][1], r * 10);
+      ASSERT_EQ(all.slot(r).size(), 2u);
+      EXPECT_EQ(all.slot(r)[0], r);
+      EXPECT_EQ(all.slot(r)[1], r * 10);
     }
   });
 }
@@ -92,10 +93,12 @@ TEST(Comm, AllgatherHandlesEmptyContributions) {
     const std::vector<std::int32_t> mine =
         ctx.rank() == 1 ? std::vector<std::int32_t>{5}
                         : std::vector<std::int32_t>{};
-    const auto all = ctx.allgather(mine);
-    EXPECT_TRUE(all[0].empty());
-    EXPECT_EQ(all[1], (std::vector<std::int32_t>{5}));
-    EXPECT_TRUE(all[2].empty());
+    const FlatBuffer<std::int32_t> all =
+        ctx.allgatherv<std::int32_t>({mine.data(), mine.size()});
+    EXPECT_TRUE(all.slot(0).empty());
+    ASSERT_EQ(all.slot(1).size(), 1u);
+    EXPECT_EQ(all.slot(1)[0], 5);
+    EXPECT_TRUE(all.slot(2).empty());
   });
 }
 
@@ -122,14 +125,16 @@ TEST(Comm, Bcast) {
 TEST(Comm, Alltoallv) {
   Comm comm(3);
   comm.run([](RankContext& ctx) {
-    std::vector<std::vector<std::int32_t>> outgoing(3);
-    for (int d = 0; d < 3; ++d)
-      outgoing[static_cast<std::size_t>(d)] = {ctx.rank() * 10 + d};
-    const auto incoming = ctx.alltoallv(outgoing);
-    ASSERT_EQ(incoming.size(), 3u);
-    for (int s = 0; s < 3; ++s)
-      EXPECT_EQ(incoming[static_cast<std::size_t>(s)],
-                (std::vector<std::int32_t>{s * 10 + ctx.rank()}));
+    FlatBuffer<std::int32_t> outgoing = ctx.make_buffer<std::int32_t>();
+    for (int d = 0; d < 3; ++d) outgoing.count(d) = 1;
+    outgoing.commit_counts();
+    for (int d = 0; d < 3; ++d) outgoing.push(d, ctx.rank() * 10 + d);
+    const FlatBuffer<std::int32_t> incoming = ctx.alltoallv(outgoing);
+    ASSERT_EQ(incoming.slots(), 3);
+    for (int s = 0; s < 3; ++s) {
+      ASSERT_EQ(incoming.slot(s).size(), 1u);
+      EXPECT_EQ(incoming.slot(s)[0], s * 10 + ctx.rank());
+    }
   });
 }
 
@@ -218,13 +223,15 @@ TEST(Comm, ReusableAfterFailedRun) {
   comm.run([](RankContext& ctx) {
     EXPECT_EQ(ctx.allreduce_sum<std::int32_t>(1), 3);
     ctx.barrier();
-    std::vector<std::vector<std::int32_t>> outgoing(3);
-    for (int d = 0; d < 3; ++d)
-      outgoing[static_cast<std::size_t>(d)] = {ctx.rank()};
-    const auto incoming = ctx.alltoallv(outgoing);
-    for (int s = 0; s < 3; ++s)
-      EXPECT_EQ(incoming[static_cast<std::size_t>(s)],
-                (std::vector<std::int32_t>{s}));
+    FlatBuffer<std::int32_t> outgoing = ctx.make_buffer<std::int32_t>();
+    for (int d = 0; d < 3; ++d) outgoing.count(d) = 1;
+    outgoing.commit_counts();
+    for (int d = 0; d < 3; ++d) outgoing.push(d, ctx.rank());
+    const FlatBuffer<std::int32_t> incoming = ctx.alltoallv(outgoing);
+    for (int s = 0; s < 3; ++s) {
+      ASSERT_EQ(incoming.slot(s).size(), 1u);
+      EXPECT_EQ(incoming.slot(s)[0], s);
+    }
   });
 }
 

@@ -1,8 +1,8 @@
 // FlatBuffer / BufferPool unit tests and FlatExchange collective
 // round-trips: the flat (CSR counts/displs + contiguous payload) wire
-// representation introduced for the collectives, including the edge cases
-// the ragged shims used to paper over — empty payloads, single-rank runs,
-// ragged per-destination counts — and the pool-reuse guarantees.
+// representation of the collectives, including the edge cases — empty
+// payloads, single-rank runs, ragged per-destination counts — and the
+// pool-reuse guarantees.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -192,33 +192,6 @@ TEST(FlatExchange, AlltoallvRaggedCounts) {
       for (std::size_t i = 0; i < n; ++i)
         EXPECT_EQ(in.slot(s)[i],
                   10000 * s + 100 * me + static_cast<std::int64_t>(i));
-    }
-  });
-}
-
-TEST(FlatExchange, RaggedShimMatchesFlat) {
-  Comm comm(3);
-  comm.run([](RankContext& ctx) {
-    const int me = ctx.rank();
-    std::vector<std::vector<std::int32_t>>  // hgr-lint: ragged-ok (shim test)
-        ragged(static_cast<std::size_t>(ctx.size()));
-    FlatBuffer<std::int32_t> flat = ctx.make_buffer<std::int32_t>();
-    for (int d = 0; d < ctx.size(); ++d) {
-      for (int i = 0; i <= d; ++i)
-        ragged[static_cast<std::size_t>(d)].push_back(100 * me + i);
-      flat.count(d) += static_cast<std::size_t>(d + 1);
-    }
-    flat.commit_counts();
-    for (int d = 0; d < ctx.size(); ++d)
-      for (int i = 0; i <= d; ++i) flat.push(d, 100 * me + i);
-
-    const auto in_ragged = ctx.alltoallv<std::int32_t>(ragged);
-    const FlatBuffer<std::int32_t> in_flat = ctx.alltoallv(flat);
-    for (int s = 0; s < ctx.size(); ++s) {
-      const auto fs = in_flat.slot(s);
-      ASSERT_EQ(in_ragged[static_cast<std::size_t>(s)].size(), fs.size());
-      for (std::size_t i = 0; i < fs.size(); ++i)
-        EXPECT_EQ(in_ragged[static_cast<std::size_t>(s)][i], fs[i]);
     }
   });
 }

@@ -51,7 +51,6 @@ TRACKED = [
     # micro_comm (flat-buffer collectives; absent from partition runs).
     ("metrics.alltoallv_small_p4_ns_per_call", True),
     ("metrics.alltoallv_large_p4_ns_per_call", True),
-    ("metrics.alltoallv_ragged_small_p4_ns_per_call", True),
     ("metrics.allgather_large_p4_ns_per_call", True),
     ("metrics.allreduce_p4_ns_per_call", True),
     # micro_incremental (O(delta) fast path vs full V-cycle).

@@ -36,8 +36,8 @@ Textual rules (all scoped to src/ and tools/ C++ sources):
                    src/partition/: ragged buffers cost one allocation per
                    slot plus a serialize copy on every exchange. Use
                    FlatBuffer<T> (parallel/flat_buffer.hpp) or a Workspace
-                   borrow. Deliberate ragged use (the compat shims) is
-                   suppressed with `// hgr-lint: ragged-ok`.
+                   borrow. Deliberate ragged use is suppressed with
+                   `// hgr-lint: ragged-ok`.
   swallowed-failure  No `catch (...)` whose body neither rethrows nor
                    aborts (throw / rethrow_exception / abort_all /
                    std::abort / std::terminate / std::exit). A silently
