@@ -1,6 +1,7 @@
 #include "hypergraph/io.hpp"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -28,6 +29,16 @@ bool next_data_line(std::istream& in, std::string& line) {
   return false;
 }
 
+/// A vertex count read from a file header, as an Index. Counts that do not
+/// fit would wrap and let out-of-range ids through to the builders.
+Index vertex_count(long long n) {
+  if (n < 0) parse_error("negative vertex count " + std::to_string(n));
+  if (n > std::numeric_limits<Index>::max())
+    parse_error("vertex count " + std::to_string(n) + " exceeds " +
+                std::to_string(std::numeric_limits<Index>::max()));
+  return static_cast<Index>(n);
+}
+
 }  // namespace
 
 Hypergraph read_hmetis(std::istream& in) {
@@ -43,7 +54,7 @@ Hypergraph read_hmetis(std::istream& in) {
   const bool has_vsizes = (fmt / 100 % 10) == 1;
   if (num_nets < 0 || num_vertices < 0) parse_error("negative counts");
 
-  HypergraphBuilder b(static_cast<Index>(num_vertices));
+  HypergraphBuilder b(vertex_count(num_vertices));
   b.keep_single_pin_nets(true);
   std::vector<Index> pins;
   for (long long n = 0; n < num_nets; ++n) {
@@ -121,13 +132,16 @@ Graph read_metis_graph(std::istream& in) {
   const bool has_ewgt = fmt.size() >= 1 && fmt[fmt.size() - 1] == '1';
   const bool has_vwgt = fmt.size() >= 2 && fmt[fmt.size() - 2] == '1';
 
-  GraphBuilder b(static_cast<Index>(num_vertices));
+  GraphBuilder b(vertex_count(num_vertices));
   for (long long v = 0; v < num_vertices; ++v) {
     if (!next_data_line(in, line)) parse_error("missing adjacency line");
     std::istringstream ls(line);
     if (has_vwgt) {
       Weight w;
       if (!(ls >> w)) parse_error("missing vertex weight");
+      if (w < 0)
+        parse_error("negative weight " + std::to_string(w) + " for vertex " +
+                    std::to_string(v + 1));
       b.set_vertex_weight(static_cast<Index>(v), w);
       b.set_vertex_size(static_cast<Index>(v), w);
     }
@@ -136,6 +150,9 @@ Graph read_metis_graph(std::istream& in) {
       if (nbr < 1 || nbr > num_vertices) parse_error("neighbor out of range");
       Weight w = 1;
       if (has_ewgt && !(ls >> w)) parse_error("missing edge weight");
+      if (w < 0)
+        parse_error("negative weight " + std::to_string(w) + " on edge (" +
+                    std::to_string(v + 1) + ", " + std::to_string(nbr) + ")");
       if (nbr - 1 > v) b.add_edge(static_cast<Index>(v),
                                   static_cast<Index>(nbr - 1), w);
     }
@@ -192,7 +209,7 @@ Graph read_matrix_market(std::istream& in) {
   if (rows != cols) parse_error("matrix must be square");
   if (rows <= 0) parse_error("empty matrix");
 
-  GraphBuilder b(static_cast<Index>(rows));
+  GraphBuilder b(vertex_count(rows));
   for (long long e = 0; e < entries; ++e) {
     if (!next_data_line(in, line)) parse_error("missing MatrixMarket entry");
     std::istringstream entry(line);

@@ -101,6 +101,35 @@ TEST(Io, MalformedCorpusRejectedWithClearErrors) {
             std::string::npos);
   EXPECT_NE(error_of(dir + "/negative_cost.hgr").find("net 1"),
             std::string::npos);
+  EXPECT_NE(error_of(dir + "/vertex_count_overflow.hgr")
+                .find("vertex count 4294967298 exceeds"),
+            std::string::npos);
+}
+
+/// The message of the parse error `read` throws on `text` ("" if none).
+template <typename Read>
+std::string parse_error_of(Read read, const std::string& text) {
+  std::stringstream ss(text);
+  try {
+    read(ss);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Io, MetisRejectsNegativeVertexWeight) {
+  const std::string err =
+      parse_error_of(read_metis_graph, "2 1 10\n-3 2\n1 1\n");
+  EXPECT_NE(err.find("negative weight -3 for vertex 1"), std::string::npos)
+      << err;
+}
+
+TEST(Io, MetisRejectsNegativeEdgeWeight) {
+  const std::string err =
+      parse_error_of(read_metis_graph, "2 1 1\n2 -4\n1 -4\n");
+  EXPECT_NE(err.find("negative weight -4 on edge (1, 2)"), std::string::npos)
+      << err;
 }
 
 TEST(Io, GraphRoundTrip) {
@@ -162,6 +191,17 @@ TEST(Io, MatrixMarketRejectsNonSquare) {
       "3 4 1\n"
       "1 2\n");
   EXPECT_THROW(read_matrix_market(ss), std::runtime_error);
+}
+
+TEST(Io, MatrixMarketRejectsOversizedDimension) {
+  // 2^32 + 2 rows would wrap to 2 if narrowed to a 32-bit vertex count.
+  const std::string err = parse_error_of(
+      read_matrix_market,
+      "%%MatrixMarket matrix coordinate pattern general\n"
+      "4294967298 4294967298 1\n"
+      "1 3\n");
+  EXPECT_NE(err.find("vertex count 4294967298 exceeds"), std::string::npos)
+      << err;
 }
 
 TEST(Io, MatrixMarketRejectsBadBanner) {
