@@ -1,5 +1,6 @@
 // GainCache: the incremental cut/gain structure behind every move-based
-// stage (k-way refinement, FM bisection, and the O(delta) epoch fast path).
+// stage (k-way refinement, FM bisection, parallel refinement, and the
+// O(delta) epoch fast path).
 //
 // It maintains, under a stream of apply_move(v, to) calls:
 //   - pins(net, part): the dense pins-per-part table,
