@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
 
 #include "common/assert.hpp"
 #include "common/csr_utils.hpp"
@@ -23,6 +22,14 @@ std::uint64_t hash_pins(std::span<const VertexId> pins) {
   return h;
 }
 
+/// Table slot of a net hash: the top `bits` bits of a Fibonacci multiply,
+/// so every pin id bit reaches the slot (FNV-1a's low bits see only the
+/// pins' low bits).
+std::size_t table_slot(std::uint64_t hash, int bits) {
+  return static_cast<std::size_t>((hash * 0x9e3779b97f4a7c15ULL) >>
+                                  (64 - bits));
+}
+
 }  // namespace
 
 // Contraction in three phases around the serial dedup core:
@@ -30,12 +37,11 @@ std::uint64_t hash_pins(std::span<const VertexId> pins) {
 //   A (parallel over nets)  map + sort + dedup each pin list into the
 //                           chunk's thread-local buffer; record per-net
 //                           (count, offset, hash).
-//   B (serial, net order)   merge identical nets / drop tiny nets with
-//                           the same first-occurrence-wins dedup the old
-//                           serial kernel used, reading pins out of the
-//                           thread buffers. Net order is the original net
-//                           order, so the output is bit-identical to the
-//                           serial version at every thread count.
+//   B (serial, net order)   merge identical nets into the first kept
+//                           copy through a flat hash table of kept-net
+//                           ids, reading pins out of the thread buffers.
+//                           Net order is the original net order, so the
+//                           output is bit-identical at every thread count.
 //   C (parallel over kept)  prefix-sum the kept counts and copy each kept
 //                           pin list into its final CSR slot (disjoint
 //                           ranges, frozen sources).
@@ -129,14 +135,29 @@ CoarseLevel contract(const Hypergraph& h,
 
   // Phase B: serial first-occurrence dedup in net order. Kept nets record
   // where their pins live (owning thread + offset) for the copy phase.
+  // Identical nets are found through an open-addressing table of kept-net
+  // ids (power-of-two size, load <= 1/2, linear probing) that compares the
+  // kept nets' hashes before their pins. A net merges into the first equal
+  // kept net it meets, so no two kept nets are ever equal and the probe
+  // order cannot change the merge target.
   Borrowed<Index> kept_off_b(ws);
   Borrowed<Index> kept_thread_b(ws);
+  Borrowed<std::uint64_t> kept_hash_b(ws);
+  Borrowed<Index> table_b(ws);
   std::vector<Index>& kept_off = kept_off_b.get();
   std::vector<Index>& kept_thread = kept_thread_b.get();
+  std::vector<std::uint64_t>& kept_hash = kept_hash_b.get();
+  std::vector<Index>& table = table_b.get();
   std::vector<Index> coarse_net_counts;
   std::vector<Weight> coarse_net_costs;
-  std::unordered_map<std::uint64_t, std::vector<Index>> dedup;
-  dedup.reserve(static_cast<std::size_t>(m));
+
+  const auto live = static_cast<std::size_t>(
+      std::count_if(net_count.begin(), net_count.end(),
+                    [](Index count) { return count > 0; }));
+  int table_bits = 1;
+  while ((std::size_t{1} << table_bits) < 2 * live) ++table_bits;
+  table.assign(std::size_t{1} << table_bits, kInvalidIndex);
+  const std::size_t mask = table.size() - 1;
 
   int cur_thread = 0;
   Index cur_end = ThreadPool::chunk(m, 0, num_threads).second;
@@ -150,28 +171,27 @@ CoarseLevel contract(const Hypergraph& h,
     const VertexId* pins =
         src.data() + net_off[static_cast<std::size_t>(ni)];
     const Weight cost = h.net_cost(NetId{ni});
+    const std::uint64_t hash = net_hash[static_cast<std::size_t>(ni)];
 
-    auto& bucket = dedup[net_hash[static_cast<std::size_t>(ni)]];
-    bool merged = false;
-    for (const Index existing : bucket) {
-      if (coarse_net_counts[static_cast<std::size_t>(existing)] != count)
-        continue;
-      const std::vector<VertexId>& esrc =
-          bufs[static_cast<std::size_t>(kept_thread[
-              static_cast<std::size_t>(existing)])];
+    std::size_t slot = table_slot(hash, table_bits);
+    Index existing = table[slot];
+    for (; existing != kInvalidIndex;
+         slot = (slot + 1) & mask, existing = table[slot]) {
+      const auto e = static_cast<std::size_t>(existing);
+      if (kept_hash[e] != hash || coarse_net_counts[e] != count) continue;
       const VertexId* epins =
-          esrc.data() + kept_off[static_cast<std::size_t>(existing)];
-      if (std::equal(pins, pins + count, epins)) {
-        coarse_net_costs[static_cast<std::size_t>(existing)] += cost;
-        merged = true;
-        break;
-      }
+          bufs[static_cast<std::size_t>(kept_thread[e])].data() + kept_off[e];
+      if (std::equal(pins, pins + count, epins)) break;
     }
-    if (merged) continue;
+    if (existing != kInvalidIndex) {
+      coarse_net_costs[static_cast<std::size_t>(existing)] += cost;
+      continue;
+    }
 
-    bucket.push_back(static_cast<Index>(coarse_net_counts.size()));
+    table[slot] = static_cast<Index>(coarse_net_counts.size());
     kept_off.push_back(net_off[static_cast<std::size_t>(ni)]);
     kept_thread.push_back(cur_thread);
+    kept_hash.push_back(hash);
     coarse_net_counts.push_back(count);
     coarse_net_costs.push_back(cost);
   }

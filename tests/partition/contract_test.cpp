@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
+#include <vector>
+
+#include "common/workspace.hpp"
 #include "metrics/cut.hpp"
 #include "partition/matching_ipm.hpp"
 #include "test_util.hpp"
@@ -10,7 +16,9 @@ namespace hgr {
 namespace {
 
 using testing::make_hypergraph;
+using testing::planted_duplicates_hypergraph;
 using testing::random_hypergraph;
+using testing::random_pair_matching;
 
 IdVector<VertexId, VertexId> identity_match(Index n) {
   IdVector<VertexId, VertexId> m(n);
@@ -116,6 +124,109 @@ TEST(Contract, CutPreservedUnderProjection) {
     fine_p[v] = coarse_p[level.fine_to_coarse[v]];
   EXPECT_EQ(connectivity_cut(level.coarse, coarse_p),
             connectivity_cut(h, fine_p));
+}
+
+// The coarse nets contract() must produce, built the obvious way: map
+// and sort each net's pins, drop nets left with fewer than 2, and merge
+// identical pin lists into the first occurrence in net order.
+struct ReferenceNets {
+  std::vector<std::vector<VertexId>> pins;
+  std::vector<Weight> costs;
+  Index dropped = 0;  // nets left with fewer than 2 pins
+  Index merged = 0;   // nets folded into an earlier identical one
+};
+
+ReferenceNets reference_nets(const Hypergraph& h,
+                             const IdVector<VertexId, VertexId>& match) {
+  IdVector<VertexId, VertexId> coarse_of(h.num_vertices(), kInvalidVertex);
+  VertexId next{0};
+  for (const VertexId v : h.vertices())
+    if (match[v] >= v) coarse_of[v] = next++;
+  for (const VertexId v : h.vertices())
+    if (match[v] < v) coarse_of[v] = coarse_of[match[v]];
+
+  ReferenceNets ref;
+  std::map<std::vector<VertexId>, std::size_t> first;
+  for (const NetId net : h.nets()) {
+    std::vector<VertexId> pins;
+    for (const VertexId v : h.pins(net)) pins.push_back(coarse_of[v]);
+    std::sort(pins.begin(), pins.end());
+    pins.erase(std::unique(pins.begin(), pins.end()), pins.end());
+    if (pins.size() < 2) {
+      ++ref.dropped;
+      continue;
+    }
+    const auto [it, inserted] = first.emplace(pins, ref.pins.size());
+    if (inserted) {
+      ref.pins.push_back(std::move(pins));
+      ref.costs.push_back(h.net_cost(net));
+    } else {
+      ref.costs[it->second] += h.net_cost(net);
+      ++ref.merged;
+    }
+  }
+  return ref;
+}
+
+void expect_nets_match_reference(const Hypergraph& coarse,
+                                 const ReferenceNets& ref) {
+  ASSERT_EQ(static_cast<std::size_t>(coarse.num_nets()), ref.pins.size());
+  Index offset = 0;
+  for (const NetId net : coarse.nets()) {
+    const std::vector<VertexId>& want =
+        ref.pins[static_cast<std::size_t>(net.v)];
+    const auto got = coarse.pins(net);
+    EXPECT_EQ(got.data() - coarse.pins(NetId{0}).data(), offset)
+        << "net " << net.v;
+    ASSERT_EQ(got.size(), want.size()) << "net " << net.v;
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin()))
+        << "net " << net.v;
+    EXPECT_EQ(coarse.net_cost(net), ref.costs[static_cast<std::size_t>(net.v)])
+        << "net " << net.v;
+    offset += static_cast<Index>(got.size());
+  }
+  EXPECT_EQ(coarse.num_pins(), offset);
+}
+
+TEST(Contract, DedupMatchesOrderedReference) {
+  struct Case {
+    const char* name;
+    Hypergraph h;
+    IdVector<VertexId, VertexId> match;
+  };
+  std::vector<Case> cases;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    auto match = random_pair_matching(120, seed);
+    Hypergraph h = planted_duplicates_hypergraph(120, 400, match, seed + 10);
+    cases.push_back({"planted", std::move(h), std::move(match)});
+  }
+  cases.push_back({"m = 0", make_hypergraph(6, {}), identity_match(6)});
+  cases.push_back({"m = 1", make_hypergraph(6, {{1, 4, 5}}), identity_match(6)});
+  {
+    // Every net spans exactly one matched pair: all of them collapse.
+    auto match = identity_match(8);
+    for (Index v = 0; v < 8; v += 2) {
+      match[VertexId{v}] = VertexId{v + 1};
+      match[VertexId{v + 1}] = VertexId{v};
+    }
+    cases.push_back({"every net dropped",
+                     make_hypergraph(8, {{0, 1}, {2, 3}, {4, 5}, {6, 7}, {1, 0}}),
+                     std::move(match)});
+  }
+
+  Workspace ws;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const ReferenceNets ref = reference_nets(c.h, c.match);
+    if (c.h.num_nets() > 100) {  // the planted cases hit both reductions
+      EXPECT_GT(ref.dropped, 0);
+      EXPECT_GT(ref.merged, 0);
+    }
+    expect_nets_match_reference(contract(c.h, c.match).coarse, ref);
+    // Twice through one arena: pooled scratch must not leak between calls.
+    expect_nets_match_reference(contract(c.h, c.match, &ws).coarse, ref);
+    expect_nets_match_reference(contract(c.h, c.match, &ws).coarse, ref);
+  }
 }
 
 TEST(ContractDeathTest, IncompatibleFixedPairAborts) {

@@ -52,6 +52,66 @@ inline Hypergraph random_hypergraph(Index n, Index nets, Index max_pins,
   return b.finalize();
 }
 
+/// Random matching over n vertices: a shuffled half of them paired up
+/// consecutively, the rest unmatched (match[v] == v).
+inline IdVector<VertexId, VertexId> random_pair_matching(Index n,
+                                                         std::uint64_t seed) {
+  Rng rng(seed);
+  IdVector<VertexId, VertexId> match(n);
+  for (const VertexId v : match.ids()) match[v] = v;
+  std::vector<Index> order;
+  for (Index v = 0; v < n; ++v) order.push_back(v);
+  rng.shuffle(order);
+  for (std::size_t i = 0; i + 1 < order.size() / 2; i += 2) {
+    const VertexId a{order[i]};
+    const VertexId b{order[i + 1]};
+    match[a] = b;
+    match[b] = a;
+  }
+  return match;
+}
+
+/// Random nets over n vertices, then the cases contraction dedups under
+/// `match`: exact copies of earlier nets, near-copies one pin off, nets
+/// that only become equal once matched pins merge, and nets over a single
+/// matched pair (they collapse below 2 pins). Costs are 1..3.
+inline Hypergraph planted_duplicates_hypergraph(
+    Index n, Index nets, const IdVector<VertexId, VertexId>& match,
+    std::uint64_t seed) {
+  Rng rng(seed);
+  const auto vertex = [&] {
+    return static_cast<Index>(rng.below(static_cast<std::uint64_t>(n)));
+  };
+  const auto cost = [&] { return 1 + static_cast<Weight>(rng.below(3)); };
+  std::vector<std::vector<Index>> added;
+  HypergraphBuilder b(n);
+  const auto add = [&](std::vector<Index> pins) {
+    b.add_net(pins, cost());
+    added.push_back(std::move(pins));
+  };
+  for (Index i = 0; i < nets; ++i) {
+    const std::uint64_t kind = added.empty() ? 0 : rng.below(5);
+    std::vector<Index> pins;
+    if (kind == 0) {  // fresh random net
+      const auto size = static_cast<Index>(2 + rng.below(5));
+      for (Index p = 0; p < size; ++p) pins.push_back(vertex());
+    } else {
+      pins = added[static_cast<std::size_t>(rng.below(added.size()))];
+      const std::size_t at = rng.below(pins.size());
+      if (kind == 2) {  // near-copy: one pin replaced
+        pins[at] = vertex();
+      } else if (kind == 3) {  // equal once contracted: pin -> its partner
+        pins[at] = match[VertexId{pins[at]}].v;
+      } else if (kind == 4) {  // a single matched pair: collapses to 1 pin
+        const VertexId v{pins[at]};
+        pins = {v.v, match[v].v};
+      }  // kind == 1: exact copy
+    }
+    add(std::move(pins));
+  }
+  return b.finalize();
+}
+
 /// Random connected graph: spanning chain plus extra random edges.
 inline Graph random_graph(Index n, Index extra_edges, std::uint64_t seed) {
   Rng rng(seed);
