@@ -12,11 +12,11 @@
 #pragma once
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "obs/json.hpp"
 #include "obs/trace.hpp"
 
 namespace hgr::bench {
@@ -44,11 +44,11 @@ struct TrialStats {
   }
 
   std::string to_json() const {
-    char buf[128];
-    std::snprintf(buf, sizeof(buf),
-                  "{\"n\":%d,\"mean\":%.9g,\"min\":%.9g,\"max\":%.9g}", n,
-                  mean, min, max);
-    return buf;
+    std::string out;
+    obs::JsonWriter w(out);
+    w.begin_object().key("n").i64(n).key("mean").num(mean);
+    w.key("min").num(min).key("max").num(max).end_object();
+    return out;
   }
 };
 
@@ -58,34 +58,28 @@ struct TrialStats {
 class BenchJson {
  public:
   explicit BenchJson(const std::string& bench_name) {
-    out_ = "{\"schema\":\"hgr-bench-v1\",\"bench\":\"";
-    obs::json_escape(out_, bench_name);
-    out_ += '"';
+    w_.begin_object().key("schema").str("hgr-bench-v1");
+    w_.key("bench").str(bench_name);
   }
+  BenchJson(const BenchJson&) = delete;
+  BenchJson& operator=(const BenchJson&) = delete;
 
   void add_string(const std::string& key, const std::string& value) {
-    key_(key);
-    out_ += '"';
-    obs::json_escape(out_, value);
-    out_ += '"';
+    w_.key(key).str(value);
   }
 
   void add_number(const std::string& key, double value) {
-    key_(key);
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.9g", value);
-    out_ += buf;
+    w_.key(key).num(value);
   }
 
   /// `json` must be a valid JSON value (object, array, number, ...).
   void add_raw(const std::string& key, const std::string& json) {
-    key_(key);
-    out_ += json;
+    w_.key(key).raw(json);
   }
 
   std::string finish() {
     add_raw("trace", obs::trace_to_json());
-    out_ += '}';
+    w_.end_object();
     return out_;
   }
 
@@ -97,13 +91,8 @@ class BenchJson {
   }
 
  private:
-  void key_(const std::string& key) {
-    out_ += ",\"";
-    obs::json_escape(out_, key);
-    out_ += "\":";
-  }
-
   std::string out_;
+  obs::JsonWriter w_{out_};
 };
 
 }  // namespace hgr::bench

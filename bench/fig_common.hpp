@@ -7,7 +7,6 @@
 // --trials, --seed) unlock the full sweep.
 #pragma once
 
-#include <cstdio>
 #include <iostream>
 #include <string>
 #include <utility>
@@ -51,25 +50,18 @@ using TaggedCell = std::pair<std::string, CellResult>;
 
 /// "cells" array of the hgr-bench-v1 document.
 inline std::string cells_to_json(const std::vector<TaggedCell>& cells) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const CellResult& c = cells[i].second;
-    if (i != 0) out += ',';
-    out += "{\"perturb\":\"";
-    obs::json_escape(out, cells[i].first);
-    out += "\",\"algorithm\":\"";
-    obs::json_escape(out, to_string(c.algorithm));
-    char buf[192];
-    std::snprintf(buf, sizeof(buf),
-                  "\",\"k\":%lld,\"alpha\":%lld,\"comm_volume\":%.9g,"
-                  "\"migration_volume\":%.9g,\"normalized_total\":%.9g,"
-                  "\"repart_seconds\":%.9g}",
-                  static_cast<long long>(c.k),
-                  static_cast<long long>(c.alpha), c.comm_volume,
-                  c.migration_volume, c.normalized_total, c.repart_seconds);
-    out += buf;
+  std::string out;
+  obs::JsonWriter w(out);
+  w.begin_array();
+  for (const auto& [perturb, c] : cells) {
+    w.begin_object().key("perturb").str(perturb);
+    w.key("algorithm").str(to_string(c.algorithm)).key("k").i64(c.k);
+    w.key("alpha").i64(c.alpha).key("comm_volume").num(c.comm_volume);
+    w.key("migration_volume").num(c.migration_volume);
+    w.key("normalized_total").num(c.normalized_total);
+    w.key("repart_seconds").num(c.repart_seconds).end_object();
   }
-  out += ']';
+  w.end_array();
   return out;
 }
 
@@ -95,13 +87,15 @@ inline void dump_artifacts(const ExperimentConfig& cfg,
   if (!cfg.bench_json.empty()) {
     BenchJson doc(bench_name);
     doc.add_string("dataset", cfg.dataset);
-    char config[160];
-    std::snprintf(config, sizeof(config),
-                  "{\"scale\":%.9g,\"epochs\":%lld,\"trials\":%lld,"
-                  "\"seed\":%llu,\"epsilon\":%.9g}",
-                  cfg.scale, static_cast<long long>(cfg.num_epochs),
-                  static_cast<long long>(cfg.num_trials),
-                  static_cast<unsigned long long>(cfg.seed), cfg.epsilon);
+    std::string config;
+    obs::JsonWriter(config)
+        .begin_object()
+        .key("scale").num(cfg.scale)
+        .key("epochs").i64(cfg.num_epochs)
+        .key("trials").i64(cfg.num_trials)
+        .key("seed").u64(cfg.seed)
+        .key("epsilon").num(cfg.epsilon)
+        .end_object();
     doc.add_raw("config", config);
     doc.add_raw("cells", cells_to_json(cells));
     if (doc.write(cfg.bench_json))

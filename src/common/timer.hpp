@@ -25,16 +25,6 @@ class WallTimer {
   clock::time_point start_;
 };
 
-/// Accumulates named phase timings (coarsen / initial / refine / ...).
-class PhaseTimer {
- public:
-  void start() { timer_.reset(); }
-  double stop() { return timer_.seconds(); }
-
- private:
-  WallTimer timer_;
-};
-
 /// Format seconds as a human-readable string ("12.3 ms", "4.56 s").
 std::string format_seconds(double s);
 

@@ -1,11 +1,11 @@
 #include "obs/critical_path.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <deque>
 #include <map>
 #include <mutex>
 
+#include "obs/json.hpp"
 #include "obs/trace.hpp"
 
 namespace hgr::obs {
@@ -77,54 +77,34 @@ CriticalPathSummary summarize(const Span& span) {
   return out;
 }
 
-void span_to_json(std::string& out, const Span& span) {
-  char buf[192];
-  std::snprintf(buf, sizeof(buf),
-                "{\"span_id\":%llu,\"epoch\":%lld,\"critical_rank\":%d,"
-                "\"critical_phase\":\"",
-                static_cast<unsigned long long>(span.id),
-                static_cast<long long>(span.epoch),
-                span.summary.critical_rank);
-  out += buf;
-  json_escape(out, span.summary.critical_phase);
-  std::snprintf(buf, sizeof(buf),
-                "\",\"critical_seconds\":%.9g,\"wait_frac\":%.6g,"
-                "\"ranks\":[",
-                span.summary.critical_seconds, span.summary.wait_frac);
-  out += buf;
-  // Group samples by rank, ranks ascending, phases in record order.
-  std::map<int, std::vector<const RankPhaseSample*>> by_rank;
-  for (const RankPhaseSample& s : span.samples) by_rank[s.rank].push_back(&s);
-  bool first_rank = true;
-  for (const auto& [rank, samples] : by_rank) {
-    if (!first_rank) out += ',';
-    first_rank = false;
-    std::snprintf(buf, sizeof(buf), "{\"rank\":%d,\"phases\":[", rank);
-    out += buf;
-    for (std::size_t i = 0; i < samples.size(); ++i) {
-      if (i != 0) out += ',';
-      out += "{\"name\":\"";
-      json_escape(out, samples[i]->phase);
-      std::snprintf(buf, sizeof(buf),
-                    "\",\"seconds\":%.9g,\"wait_seconds\":%.9g}",
-                    samples[i]->seconds, samples[i]->wait_seconds);
-      out += buf;
-    }
-    out += "]}";
-  }
-  out += "]}";
-}
-
 std::string section_json_locked(const Store& s) {
-  std::string out = "{\"spans\":[";
-  bool first = true;
+  std::string out;
+  JsonWriter w(out);
+  w.begin_object().key("spans").begin_array();
   for (const Span& span : s.spans) {
     if (!span.ended) continue;
-    if (!first) out += ',';
-    first = false;
-    span_to_json(out, span);
+    const CriticalPathSummary& sum = span.summary;
+    w.begin_object().key("span_id").u64(span.id).key("epoch").i64(span.epoch);
+    w.key("critical_rank").i64(sum.critical_rank);
+    w.key("critical_phase").str(sum.critical_phase);
+    w.key("critical_seconds").num(sum.critical_seconds);
+    w.key("wait_frac").num(sum.wait_frac, 6).key("ranks").begin_array();
+    // Group samples by rank, ranks ascending, phases in record order.
+    std::map<int, std::vector<const RankPhaseSample*>> by_rank;
+    for (const RankPhaseSample& r : span.samples)
+      by_rank[r.rank].push_back(&r);
+    for (const auto& [rank, samples] : by_rank) {
+      w.begin_object().key("rank").i64(rank).key("phases").begin_array();
+      for (const RankPhaseSample* r : samples) {
+        w.begin_object().key("name").str(r->phase);
+        w.key("seconds").num(r->seconds);
+        w.key("wait_seconds").num(r->wait_seconds).end_object();
+      }
+      w.end_array().end_object();
+    }
+    w.end_array().end_object();
   }
-  out += "]}";
+  w.end_array().end_object();
   return out;
 }
 

@@ -11,6 +11,8 @@
 #include <set>
 #include <vector>
 
+#include "obs/json.hpp"
+
 namespace hgr::obs {
 
 namespace {
@@ -201,22 +203,6 @@ void set_event_ring_capacity(std::size_t capacity) {
 
 namespace {
 
-void escape_to(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-}
-
 // Track ids: rank threads share one track per rank (ranks run on fresh
 // threads each Comm::run, but logically continue the same timeline);
 // non-rank threads get a high track id from their buffer tid.
@@ -238,70 +224,52 @@ std::string chrome_trace_json() {
                    });
 
   std::map<std::uint32_t, std::string> track_names;
-  for (const Event& e : snap.events) {
-    const std::uint32_t track = track_of(e);
-    if (track_names.count(track) != 0) continue;
-    char buf[32];
-    if (e.rank >= 0)
-      std::snprintf(buf, sizeof(buf), "rank %d", e.rank);
-    else
-      std::snprintf(buf, sizeof(buf), "thread %u", e.tid);
-    track_names[track] = buf;
-  }
+  for (const Event& e : snap.events)
+    track_names.try_emplace(track_of(e),
+                            e.rank >= 0 ? "rank " + std::to_string(e.rank)
+                                        : "thread " + std::to_string(e.tid));
 
-  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  const auto comma = [&out, &first] {
-    if (!first) out += ',';
-    first = false;
+  std::string out;
+  JsonWriter w(out);
+  w.begin_object().key("displayTimeUnit").str("ms");
+  w.key("traceEvents").begin_array();
+  // Metadata record; the caller fills "args" and closes both objects.
+  const auto metadata = [&w](std::uint32_t tid, const char* name) -> auto& {
+    w.begin_object().key("ph").str("M").key("pid").u64(0).key("tid").u64(tid);
+    return w.key("name").str(name).key("args").begin_object();
   };
-  comma();
-  out +=
-      "{\"ph\":\"M\",\"pid\":0,\"tid\":0,\"name\":\"process_name\","
-      "\"args\":{\"name\":\"hgr\"}}";
+  metadata(0, "process_name").key("name").str("hgr").end_object().end_object();
   for (const auto& [track, name] : track_names) {
-    char buf[96];
-    comma();
-    std::snprintf(buf, sizeof(buf),
-                  "{\"ph\":\"M\",\"pid\":0,\"tid\":%u,\"name\":"
-                  "\"thread_name\",\"args\":{\"name\":\"%s\"}}",
-                  track, name.c_str());
-    out += buf;
-    comma();
-    std::snprintf(buf, sizeof(buf),
-                  "{\"ph\":\"M\",\"pid\":0,\"tid\":%u,\"name\":"
-                  "\"thread_sort_index\",\"args\":{\"sort_index\":%u}}",
-                  track, track);
-    out += buf;
+    metadata(track, "thread_name").key("name").str(name);
+    w.end_object().end_object();
+    metadata(track, "thread_sort_index").key("sort_index").u64(track);
+    w.end_object().end_object();
   }
+  // Opens one event object; the caller adds optional fields and closes it.
+  const auto event = [&w](const Event& e, char ph, std::uint64_t ts_ns) {
+    w.begin_object().key("name").str(e.name);
+    w.key("cat").str(e.category != nullptr ? e.category : "event");
+    w.key("ph").str(std::string_view(&ph, 1)).key("pid").u64(0);
+    char ts[32];
+    std::snprintf(ts, sizeof(ts), "%.3f", static_cast<double>(ts_ns) / 1e3);
+    w.key("tid").u64(track_of(e)).key("ts").raw(ts);
+  };
   // Spans left open by an exception or degradation path (a faulted rank
-  // unwinds without its EventSpan destructors reaching the ring in order,
-  // or the process exports mid-phase). Unterminated B events make viewers
+  // unwinds without its span destructors reaching the ring in order, or
+  // the process exports mid-phase). Unterminated B events make viewers
   // drop the whole tail of the track, so synthesize matching E events at
   // the capture's last timestamp instead of losing them.
   std::map<std::uint32_t, std::vector<const Event*>> open_spans;
   std::uint64_t max_ts = 0;
   for (const Event& e : snap.events) {
-    comma();
-    out += "{\"name\":\"";
-    escape_to(out, e.name);
-    out += "\",\"cat\":\"";
-    escape_to(out, e.category != nullptr ? e.category : "event");
-    char buf[128];
-    const char ph = e.type == EventType::kBegin   ? 'B'
-                    : e.type == EventType::kEnd   ? 'E'
-                                                  : 'i';
-    std::snprintf(buf, sizeof(buf), "\",\"ph\":\"%c\",\"pid\":0,\"tid\":%u,"
-                  "\"ts\":%.3f",
-                  ph, track_of(e), static_cast<double>(e.ts_ns) / 1e3);
-    out += buf;
-    if (e.type == EventType::kInstant) out += ",\"s\":\"t\"";
-    if (e.arg != kNoEventArg) {
-      std::snprintf(buf, sizeof(buf), ",\"args\":{\"bytes\":%llu}",
-                    static_cast<unsigned long long>(e.arg));
-      out += buf;
-    }
-    out += '}';
+    event(e, e.type == EventType::kBegin ? 'B'
+             : e.type == EventType::kEnd ? 'E'
+                                         : 'i',
+          e.ts_ns);
+    if (e.type == EventType::kInstant) w.key("s").str("t");
+    if (e.arg != kNoEventArg)
+      w.key("args").begin_object().key("bytes").u64(e.arg).end_object();
+    w.end_object();
     max_ts = std::max(max_ts, e.ts_ns);
     if (e.type == EventType::kBegin) {
       open_spans[track_of(e)].push_back(&e);
@@ -313,27 +281,14 @@ std::string chrome_trace_json() {
   std::uint64_t flushed = 0;
   for (const auto& [track, stack] : open_spans) {
     // Innermost first: E events close spans in strict nesting order.
-    for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
-      comma();
-      out += "{\"name\":\"";
-      escape_to(out, (*it)->name);
-      out += "\",\"cat\":\"";
-      escape_to(out, (*it)->category != nullptr ? (*it)->category : "event");
-      char buf[96];
-      std::snprintf(buf, sizeof(buf),
-                    "\",\"ph\":\"E\",\"pid\":0,\"tid\":%u,\"ts\":%.3f}",
-                    track, static_cast<double>(max_ts) / 1e3);
-      out += buf;
-      ++flushed;
+    for (auto it = stack.rbegin(); it != stack.rend(); ++it, ++flushed) {
+      event(**it, 'E', max_ts);
+      w.end_object();
     }
   }
-  out += "],\"otherData\":{\"droppedEvents\":";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%llu,\"flushedSpans\":%llu",
-                static_cast<unsigned long long>(snap.dropped),
-                static_cast<unsigned long long>(flushed));
-  out += buf;
-  out += "}}";
+  w.end_array().key("otherData").begin_object();
+  w.key("droppedEvents").u64(snap.dropped).key("flushedSpans").u64(flushed);
+  w.end_object().end_object();
   return out;
 }
 

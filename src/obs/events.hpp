@@ -80,26 +80,6 @@ inline void emit_instant(const char* name, const char* category = "phase",
   emit_event(name, category, EventType::kInstant, arg);
 }
 
-/// RAII begin/end span. Does not touch the phase tree; use it where a
-/// TraceScope would distort aggregate timings (e.g. per-rank duplicates of
-/// a phase) or where only the timeline matters.
-class EventSpan {
- public:
-  explicit EventSpan(const char* name, const char* category = "phase")
-      : name_(events_enabled() ? name : nullptr), category_(category) {
-    if (name_ != nullptr) emit_event(name_, category_, EventType::kBegin);
-  }
-  ~EventSpan() {
-    if (name_ != nullptr) emit_event(name_, category_, EventType::kEnd);
-  }
-  EventSpan(const EventSpan&) = delete;
-  EventSpan& operator=(const EventSpan&) = delete;
-
- private:
-  const char* name_;
-  const char* category_;
-};
-
 struct EventsSnapshot {
   /// Concatenation of the live per-thread buffers, each in emission order.
   std::vector<Event> events;

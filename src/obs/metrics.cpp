@@ -1,7 +1,8 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <cstdio>
+
+#include "obs/json.hpp"
 
 namespace hgr::obs {
 
@@ -102,16 +103,13 @@ void HistogramSnapshot::merge(const HistogramSnapshot& other) {
 }
 
 std::string HistogramSnapshot::to_json() const {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "{\"count\":%llu,\"sum\":%lld,\"min\":%lld,\"max\":%lld,"
-                "\"mean\":%.6g,\"p50\":%lld,\"p95\":%lld,\"p99\":%lld}",
-                static_cast<unsigned long long>(count),
-                static_cast<long long>(sum), static_cast<long long>(min),
-                static_cast<long long>(max), mean(),
-                static_cast<long long>(p50()), static_cast<long long>(p95()),
-                static_cast<long long>(p99()));
-  return buf;
+  std::string out;
+  JsonWriter w(out);
+  w.begin_object().key("count").u64(count).key("sum").i64(sum);
+  w.key("min").i64(min).key("max").i64(max).key("mean").num(mean(), 6);
+  w.key("p50").i64(p50()).key("p95").i64(p95()).key("p99").i64(p99());
+  w.end_object();
+  return out;
 }
 
 void HistogramSnapshot::record(std::int64_t value) {

@@ -16,7 +16,7 @@
 // Registration mirrors counters: obs::histogram(name)/obs::gauge(name)
 // live in the same Registry (trace.hpp) and are emitted in the
 // hgr-trace-v2 export under "histograms"/"gauges". Hot loops use
-// obs::CachedHistogram (trace.hpp), the histogram twin of CachedCounter.
+// obs::CachedHistogram (trace.hpp), the cached handle for histograms.
 #pragma once
 
 #include <array>

@@ -2,12 +2,12 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <deque>
 #include <fstream>
 #include <mutex>
 #include <utility>
 
+#include "obs/json.hpp"
 #include "obs/trace.hpp"
 
 namespace hgr::obs {
@@ -42,37 +42,15 @@ std::uint64_t now_ns() {
 }  // namespace
 
 std::string StatsSnapshot::to_json() const {
-  std::string out = "{\"schema\":\"hgr-stats-v1\",";
-  char buf[160];
-  std::snprintf(buf, sizeof(buf), "\"seq\":%llu,\"ts_ns\":%llu,\"phase\":\"",
-                static_cast<unsigned long long>(seq),
-                static_cast<unsigned long long>(ts_ns));
-  out += buf;
-  json_escape(out, phase);
-  std::snprintf(buf, sizeof(buf), "\",\"seconds\":%.9g,\"counters\":{",
-                seconds);
-  out += buf;
-  bool first = true;
-  for (const auto& [name, value] : counters) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    json_escape(out, name);
-    std::snprintf(buf, sizeof(buf), "\":%llu",
-                  static_cast<unsigned long long>(value));
-    out += buf;
-  }
-  out += "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, value] : gauges) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    json_escape(out, name);
-    std::snprintf(buf, sizeof(buf), "\":%lld", static_cast<long long>(value));
-    out += buf;
-  }
-  out += "}}";
+  std::string out;
+  JsonWriter w(out);
+  w.begin_object().key("schema").str("hgr-stats-v1");
+  w.key("seq").u64(seq).key("ts_ns").u64(ts_ns).key("phase").str(phase);
+  w.key("seconds").num(seconds).key("counters").begin_object();
+  for (const auto& [name, value] : counters) w.key(name).u64(value);
+  w.end_object().key("gauges").begin_object();
+  for (const auto& [name, value] : gauges) w.key(name).i64(value);
+  w.end_object().end_object();
   return out;
 }
 

@@ -1,10 +1,10 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 
 #include "common/assert.hpp"
+#include "obs/json.hpp"
 #include "obs/stats_stream.hpp"
 
 namespace hgr::obs {
@@ -18,89 +18,22 @@ std::uint64_t next_registry_id() {
   return next.fetch_add(1, std::memory_order_relaxed);
 }
 
-void phase_to_json(std::string& out, const PhaseSnapshot& node) {
-  out += "{\"name\":\"";
-  json_escape(out, node.name);
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "\",\"seconds\":%.9g,\"calls\":%llu,"
-                "\"max_seconds\":%.9g,\"min_seconds\":%.9g",
-                node.seconds, static_cast<unsigned long long>(node.calls),
-                node.max_seconds, node.min_seconds);
-  out += buf;
+void phase_to_json(JsonWriter& w, const PhaseSnapshot& node) {
+  w.begin_object().key("name").str(node.name);
+  w.key("seconds").num(node.seconds).key("calls").u64(node.calls);
+  w.key("max_seconds").num(node.max_seconds);
+  w.key("min_seconds").num(node.min_seconds);
   if (!node.children.empty()) {
-    out += ",\"children\":[";
-    for (std::size_t i = 0; i < node.children.size(); ++i) {
-      if (i != 0) out += ',';
-      phase_to_json(out, node.children[i]);
-    }
-    out += ']';
+    w.key("children").begin_array();
+    for (const PhaseSnapshot& child : node.children) phase_to_json(w, child);
+    w.end_array();
   }
-  out += '}';
+  w.end_object();
 }
 
 }  // namespace
 
-void json_escape(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 Registry::Registry() : id_(next_registry_id()) {}
-
-const CachedCounter::Entry* CachedCounter::resolve(Registry& reg) {
-  std::lock_guard lock(mutex_);
-  // Re-check under the lock: another thread may have resolved already.
-  const Entry* e = current_.load(std::memory_order_acquire);
-  if (e != nullptr && e->registry_id == reg.id()) return e;
-  auto entry = std::make_unique<Entry>();
-  entry->registry_id = reg.id();
-  entry->cell = &reg.counter(name_);
-  const Entry* published = entry.get();
-  owned_.push_back(std::move(entry));
-  current_.store(published, std::memory_order_release);
-  return published;
-}
-
-const CachedHistogram::Entry* CachedHistogram::resolve(Registry& reg) {
-  std::lock_guard lock(mutex_);
-  // Re-check under the lock: another thread may have resolved already.
-  const Entry* e = current_.load(std::memory_order_acquire);
-  if (e != nullptr && e->registry_id == reg.id()) return e;
-  auto entry = std::make_unique<Entry>();
-  entry->registry_id = reg.id();
-  entry->hist = &reg.histogram(name_);
-  const Entry* published = entry.get();
-  owned_.push_back(std::move(entry));
-  current_.store(published, std::memory_order_release);
-  return published;
-}
 
 const PhaseSnapshot* find_phase(const PhaseSnapshot& root,
                                 std::initializer_list<std::string_view> path) {
@@ -119,14 +52,25 @@ const PhaseSnapshot* find_phase(const PhaseSnapshot& root,
   return node;
 }
 
-std::atomic<std::uint64_t>& Registry::counter(std::string_view name) {
+template <typename T>
+T& Registry::get_or_create(Named<T>& metrics, std::string_view name) {
   std::lock_guard lock(mutex_);
-  const auto it = counters_.find(name);
-  if (it != counters_.end()) return *it->second;
-  auto cell = std::make_unique<std::atomic<std::uint64_t>>(0);
-  std::atomic<std::uint64_t>& ref = *cell;
-  counters_.emplace(std::string(name), std::move(cell));
-  return ref;
+  const auto it = metrics.find(name);
+  if (it != metrics.end()) return *it->second;
+  return *metrics.emplace(std::string(name), std::make_unique<T>())
+              .first->second;
+}
+
+std::atomic<std::uint64_t>& Registry::counter(std::string_view name) {
+  return get_or_create(counters_, name);
+}
+
+Histogram& Registry::histogram(std::string_view name) {
+  return get_or_create(histograms_, name);
+}
+
+Gauge& Registry::gauge(std::string_view name) {
+  return get_or_create(gauges_, name);
 }
 
 std::uint64_t Registry::counter_value(std::string_view name) const {
@@ -140,26 +84,6 @@ std::map<std::string, std::uint64_t> Registry::counters() const {
   std::map<std::string, std::uint64_t> out;
   for (const auto& [name, cell] : counters_) out[name] = cell->load();
   return out;
-}
-
-Histogram& Registry::histogram(std::string_view name) {
-  std::lock_guard lock(mutex_);
-  const auto it = histograms_.find(name);
-  if (it != histograms_.end()) return *it->second;
-  auto hist = std::make_unique<Histogram>();
-  Histogram& ref = *hist;
-  histograms_.emplace(std::string(name), std::move(hist));
-  return ref;
-}
-
-Gauge& Registry::gauge(std::string_view name) {
-  std::lock_guard lock(mutex_);
-  const auto it = gauges_.find(name);
-  if (it != gauges_.end()) return *it->second;
-  auto g = std::make_unique<Gauge>();
-  Gauge& ref = *g;
-  gauges_.emplace(std::string(name), std::move(g));
-  return ref;
 }
 
 std::map<std::string, HistogramSnapshot> Registry::histograms() const {
@@ -281,53 +205,21 @@ Registry* set_global_registry(Registry* r) {
 
 std::string trace_to_json(const Registry& reg) {
   const PhaseSnapshot root = reg.phase_tree();
-  const std::map<std::string, std::uint64_t> counters = reg.counters();
-  std::string out = "{\"schema\":\"hgr-trace-v2\",\"phases\":[";
-  for (std::size_t i = 0; i < root.children.size(); ++i) {
-    if (i != 0) out += ',';
-    phase_to_json(out, root.children[i]);
-  }
-  out += "],\"counters\":{";
-  bool first = true;
-  for (const auto& [name, value] : counters) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    json_escape(out, name);
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "\":%llu",
-                  static_cast<unsigned long long>(value));
-    out += buf;
-  }
-  out += "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, snap] : reg.histograms()) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    json_escape(out, name);
-    out += "\":";
-    out += snap.to_json();
-  }
-  out += "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, value] : reg.gauges()) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    json_escape(out, name);
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "\":%lld", static_cast<long long>(value));
-    out += buf;
-  }
-  out += '}';
-  for (const auto& [name, json] : reg.sections()) {
-    out += ",\"";
-    json_escape(out, name);
-    out += "\":";
-    out += json;
-  }
-  out += '}';
+  std::string out;
+  JsonWriter w(out);
+  w.begin_object().key("schema").str("hgr-trace-v2");
+  w.key("phases").begin_array();
+  for (const PhaseSnapshot& phase : root.children) phase_to_json(w, phase);
+  w.end_array().key("counters").begin_object();
+  for (const auto& [name, value] : reg.counters()) w.key(name).u64(value);
+  w.end_object().key("histograms").begin_object();
+  for (const auto& [name, snap] : reg.histograms())
+    w.key(name).raw(snap.to_json());
+  w.end_object().key("gauges").begin_object();
+  for (const auto& [name, value] : reg.gauges()) w.key(name).i64(value);
+  w.end_object();
+  for (const auto& [name, json] : reg.sections()) w.key(name).raw(json);
+  w.end_object();
   return out;
 }
 

@@ -120,17 +120,20 @@ class Registry {
     std::vector<std::unique_ptr<Node>> children;
   };
 
+  template <typename T>
+  using Named = std::map<std::string, std::unique_ptr<T>, std::less<>>;
+
   Node* find_or_add_child(Node& parent, std::string_view name);
+  template <typename T>
+  T& get_or_create(Named<T>& metrics, std::string_view name);
 
   const std::uint64_t id_;
   mutable std::mutex mutex_;
   Node root_;
   std::map<std::thread::id, std::vector<Node*>> stacks_;
-  std::map<std::string, std::unique_ptr<std::atomic<std::uint64_t>>,
-           std::less<>>
-      counters_;
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
-  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
+  Named<std::atomic<std::uint64_t>> counters_;
+  Named<Histogram> histograms_;
+  Named<Gauge> gauges_;
   std::map<std::string, std::string, std::less<>> sections_;
 };
 
@@ -170,31 +173,25 @@ inline Gauge& gauge(std::string_view name) {
   return global_registry().gauge(name);
 }
 
-/// Cached handle for a hot-path counter. obs::counter() takes the registry
-/// mutex on every lookup; a CachedCounter resolves the name once per
-/// registry and then bumps the atomic directly — the steady-state cost is
-/// two relaxed loads plus the increment. Handles are safe to share across
-/// threads and survive ScopedRegistry swaps: each Registry has a unique
-/// id, and a mismatch triggers re-resolution (so a stale handle never
-/// touches a destroyed registry's storage).
-///
-///   static obs::CachedCounter moves("refine.moves");  // function-local
-///   moves += n;                                       // hot loop
-class CachedCounter {
+/// Cached handle for a hot-path registry metric. The shorthand lookups
+/// above take the registry mutex on every call; a cached handle resolves
+/// the name once per registry and then touches the metric directly — the
+/// steady-state cost is two relaxed loads. Handles are safe to share
+/// across threads and survive ScopedRegistry swaps: each Registry has a
+/// unique id, and a mismatch triggers re-resolution (so a stale handle
+/// never touches a destroyed registry's storage).
+template <typename T, T& (Registry::*Lookup)(std::string_view)>
+class CachedHandle {
  public:
-  explicit CachedCounter(std::string name) : name_(std::move(name)) {}
-  CachedCounter(const CachedCounter&) = delete;
-  CachedCounter& operator=(const CachedCounter&) = delete;
+  explicit CachedHandle(std::string name) : name_(std::move(name)) {}
+  CachedHandle(const CachedHandle&) = delete;
+  CachedHandle& operator=(const CachedHandle&) = delete;
 
-  std::atomic<std::uint64_t>& cell() {
+  T& get() {
     Registry& reg = global_registry();
     const Entry* e = current_.load(std::memory_order_acquire);
     if (e == nullptr || e->registry_id != reg.id()) e = resolve(reg);
-    return *e->cell;
-  }
-
-  std::uint64_t operator+=(std::uint64_t n) {
-    return cell().fetch_add(n, std::memory_order_relaxed) + n;
+    return *e->metric;
   }
 
  private:
@@ -202,10 +199,19 @@ class CachedCounter {
   // (owned_) so concurrent readers never see freed memory.
   struct Entry {
     std::uint64_t registry_id;
-    std::atomic<std::uint64_t>* cell;
+    T* metric;
   };
 
-  const Entry* resolve(Registry& reg);
+  const Entry* resolve(Registry& reg) {
+    std::lock_guard lock(mutex_);
+    // Re-check under the lock: another thread may have resolved already.
+    const Entry* e = current_.load(std::memory_order_acquire);
+    if (e != nullptr && e->registry_id == reg.id()) return e;
+    owned_.push_back(
+        std::make_unique<Entry>(Entry{reg.id(), &(reg.*Lookup)(name_)}));
+    current_.store(owned_.back().get(), std::memory_order_release);
+    return owned_.back().get();
+  }
 
   std::string name_;
   std::atomic<const Entry*> current_{nullptr};
@@ -213,41 +219,25 @@ class CachedCounter {
   std::vector<std::unique_ptr<Entry>> owned_;
 };
 
-/// Cached handle for a hot-path histogram — the Histogram twin of
-/// CachedCounter, with the same registry-swap detection: resolve the name
-/// once per registry, then record() is the lock-free metrics.hpp path.
-///
+/// Hot-path counter handle:
+///   static obs::CachedCounter moves("refine.moves");  // function-local
+///   moves += n;                                       // hot loop
+class CachedCounter
+    : public CachedHandle<std::atomic<std::uint64_t>, &Registry::counter> {
+ public:
+  using CachedHandle::CachedHandle;
+  std::uint64_t operator+=(std::uint64_t n) {
+    return get().fetch_add(n, std::memory_order_relaxed) + n;
+  }
+};
+
+/// Hot-path histogram handle; record() is the lock-free metrics.hpp path:
 ///   static obs::CachedHistogram gains("fm.move_gain");  // function-local
 ///   gains.record(gain);                                 // hot loop
-class CachedHistogram {
+class CachedHistogram : public CachedHandle<Histogram, &Registry::histogram> {
  public:
-  explicit CachedHistogram(std::string name) : name_(std::move(name)) {}
-  CachedHistogram(const CachedHistogram&) = delete;
-  CachedHistogram& operator=(const CachedHistogram&) = delete;
-
-  Histogram& get() {
-    Registry& reg = global_registry();
-    const Entry* e = current_.load(std::memory_order_acquire);
-    if (e == nullptr || e->registry_id != reg.id()) e = resolve(reg);
-    return *e->hist;
-  }
-
+  using CachedHandle::CachedHandle;
   void record(std::int64_t value) { get().record(value); }
-
- private:
-  // Same publication discipline as CachedCounter: entries are immutable
-  // after publication and stale ones stay alive in owned_.
-  struct Entry {
-    std::uint64_t registry_id;
-    Histogram* hist;
-  };
-
-  const Entry* resolve(Registry& reg);
-
-  std::string name_;
-  std::atomic<const Entry*> current_{nullptr};
-  std::mutex mutex_;
-  std::vector<std::unique_ptr<Entry>> owned_;
 };
 
 /// RAII phase timer. Nest freely; same-named siblings merge. When event
@@ -274,10 +264,6 @@ class TraceScope {
   const char* event_name_ = nullptr;
   WallTimer timer_;
 };
-
-/// Append a JSON-escaped copy of `s` to `out` (shared by the trace and
-/// bench JSON writers).
-void json_escape(std::string& out, std::string_view s);
 
 /// Serialize phases + counters + histograms + gauges as JSON (schema
 /// "hgr-trace-v2"; v1 lacked the "histograms"/"gauges" keys).

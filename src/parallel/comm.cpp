@@ -518,7 +518,6 @@ void RankContext::recycle(RawMessage&& msg) {
 
 void RankContext::barrier() {
   faultpoint(fault::FaultSite::kBarrier);
-  obs::EventSpan span("barrier", "comm");
   CollectiveTimer lat(*this, CollectiveKind::kBarrier);
   record_collective(CollectiveKind::kBarrier, 0);
   bump_collectives();

@@ -155,7 +155,6 @@ class RankContext {
   FlatBuffer<T> allgatherv(std::span<const T> mine) {
     static_assert(std::is_trivially_copyable_v<T>);
     faultpoint(fault::FaultSite::kAllgather);
-    obs::EventSpan span("allgather", "comm");
     CollectiveTimer lat(*this, CollectiveKind::kAllgather);
     const std::size_t mine_bytes = mine.size() * sizeof(T);
     record_collective(CollectiveKind::kAllgather,
@@ -185,7 +184,6 @@ class RankContext {
   T allreduce(T value, Op op) {
     static_assert(std::is_trivially_copyable_v<T>);
     faultpoint(fault::FaultSite::kAllreduce);
-    obs::EventSpan span("allreduce", "comm");
     CollectiveTimer lat(*this, CollectiveKind::kAllreduce);
     record_collective(CollectiveKind::kAllreduce,
                       sizeof(T) * static_cast<std::size_t>(size() - 1));
@@ -227,7 +225,6 @@ class RankContext {
     HGR_ASSERT(outgoing.slots() == size());
     HGR_DASSERT(outgoing.filled());
     faultpoint(fault::FaultSite::kAlltoallv);
-    obs::EventSpan span("alltoallv", "comm");
     CollectiveTimer lat(*this, CollectiveKind::kAlltoallv);
     std::size_t off_rank_bytes = 0;
     for (int d = 0; d < size(); ++d)
@@ -264,7 +261,6 @@ class RankContext {
   std::vector<T> bcast(const std::vector<T>& mine, int root) {
     static_assert(std::is_trivially_copyable_v<T>);
     faultpoint(fault::FaultSite::kBcast);
-    obs::EventSpan span("bcast", "comm");
     CollectiveTimer lat(*this, CollectiveKind::kBcast);
     const std::size_t root_bytes =
         rank_ == root ? mine.size() * sizeof(T) *
@@ -308,15 +304,25 @@ class RankContext {
   /// histogram (the distribution counters cannot express).
   void record_collective_seconds(CollectiveKind kind, double seconds);
 
-  /// RAII per-call latency probe: times the whole collective body
-  /// (publish, fence, reads — injected faults included, since they are
-  /// latency as far as the caller can tell) into comm.<kind>.call_ns.
+  /// RAII per-call probe: times the whole collective body (publish,
+  /// fence, reads — injected faults included, since they are latency as
+  /// far as the caller can tell) into comm.<kind>.call_ns, and brackets it
+  /// with a "comm" timeline span named after the collective.
   class CollectiveTimer {
    public:
     CollectiveTimer(RankContext& ctx, CollectiveKind kind)
-        : ctx_(ctx), kind_(kind) {}
+        : ctx_(ctx),
+          kind_(kind),
+          span_(obs::events_enabled() ? collective_kind_name(kind)
+                                      : nullptr) {
+      if (span_ != nullptr) {
+        obs::emit_begin(span_, "comm");
+        timer_.reset();  // time the collective, not the emit
+      }
+    }
     ~CollectiveTimer() {
       ctx_.record_collective_seconds(kind_, timer_.seconds());
+      if (span_ != nullptr) obs::emit_end(span_, "comm");
     }
     CollectiveTimer(const CollectiveTimer&) = delete;
     CollectiveTimer& operator=(const CollectiveTimer&) = delete;
@@ -324,6 +330,7 @@ class RankContext {
    private:
     RankContext& ctx_;
     CollectiveKind kind_;
+    const char* span_;  // emitted begin, owed an end; null when capture off
     WallTimer timer_;
   };
   /// CommStats.collectives += 1 (each collective counts once; barriers

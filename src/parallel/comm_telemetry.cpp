@@ -1,11 +1,11 @@
 #include "parallel/comm_telemetry.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <mutex>
 #include <utility>
 
 #include "common/assert.hpp"
+#include "obs/json.hpp"
 
 namespace hgr {
 
@@ -102,85 +102,49 @@ double CommTelemetry::max_wait_fraction() const {
   return max;
 }
 
-namespace {
-
-void append_u64_array(std::string& out, const std::vector<std::uint64_t>& v,
-                      int width) {
-  // Emit a row-major matrix as an array of rows so the JSON is readable.
-  out += '[';
-  for (int r = 0; r * width < static_cast<int>(v.size()); ++r) {
-    if (r != 0) out += ',';
-    out += '[';
-    for (int c = 0; c < width; ++c) {
-      if (c != 0) out += ',';
-      char buf[24];
-      std::snprintf(buf, sizeof(buf), "%llu",
-                    static_cast<unsigned long long>(
-                        v[static_cast<std::size_t>(r) *
-                              static_cast<std::size_t>(width) +
-                          static_cast<std::size_t>(c)]));
-      out += buf;
-    }
-    out += ']';
-  }
-  out += ']';
-}
-
-}  // namespace
-
 std::string CommTelemetry::to_json() const {
   std::string out;
-  char buf[96];
-  std::snprintf(buf, sizeof(buf),
-                "{\"num_ranks\":%d,\"runs\":%llu,\"run_seconds\":%.9g,",
-                num_ranks, static_cast<unsigned long long>(runs),
-                run_seconds);
-  out += buf;
-  std::snprintf(buf, sizeof(buf),
-                "\"send_byte_imbalance\":%.6g,\"max_wait_fraction\":%.6g,",
-                send_byte_imbalance(), max_wait_fraction());
-  out += buf;
-  out += "\"ranks\":[";
+  obs::JsonWriter w(out);
+  w.begin_object().key("num_ranks").i64(num_ranks).key("runs").u64(runs);
+  w.key("run_seconds").num(run_seconds);
+  w.key("send_byte_imbalance").num(send_byte_imbalance(), 6);
+  w.key("max_wait_fraction").num(max_wait_fraction(), 6);
+  w.key("ranks").begin_array();
   for (int r = 0; r < num_ranks; ++r) {
     const RankCommTelemetry& t = ranks[static_cast<std::size_t>(r)];
-    if (r != 0) out += ',';
-    std::snprintf(buf, sizeof(buf), "{\"rank\":%d,\"bytes_sent\":%llu,", r,
-                  static_cast<unsigned long long>(t.bytes_sent));
-    out += buf;
-    std::snprintf(buf, sizeof(buf),
-                  "\"bytes_recv\":%llu,\"messages_sent\":%llu,",
-                  static_cast<unsigned long long>(t.bytes_recv),
-                  static_cast<unsigned long long>(t.messages_sent));
-    out += buf;
-    std::snprintf(buf, sizeof(buf),
-                  "\"messages_recv\":%llu,\"recv_wait_seconds\":%.9g,",
-                  static_cast<unsigned long long>(t.messages_recv),
-                  t.recv_wait_seconds);
-    out += buf;
-    std::snprintf(buf, sizeof(buf), "\"barrier_wait_seconds\":%.9g,",
-                  t.barrier_wait_seconds);
-    out += buf;
+    w.begin_object().key("rank").i64(r).key("bytes_sent").u64(t.bytes_sent);
+    w.key("bytes_recv").u64(t.bytes_recv);
+    w.key("messages_sent").u64(t.messages_sent);
+    w.key("messages_recv").u64(t.messages_recv);
+    w.key("recv_wait_seconds").num(t.recv_wait_seconds);
+    w.key("barrier_wait_seconds").num(t.barrier_wait_seconds);
     const double wait_fraction =
         run_seconds > 0.0
             ? (t.recv_wait_seconds + t.barrier_wait_seconds) / run_seconds
             : 0.0;
-    std::snprintf(buf, sizeof(buf), "\"wait_fraction\":%.6g,", wait_fraction);
-    out += buf;
-    out += "\"collectives\":{";
-    for (std::size_t k = 0; k < kNumCollectiveKinds; ++k) {
-      if (k != 0) out += ',';
-      std::snprintf(buf, sizeof(buf), "\"%s\":%llu",
-                    collective_kind_name(static_cast<CollectiveKind>(k)),
-                    static_cast<unsigned long long>(t.collective_calls[k]));
-      out += buf;
-    }
-    out += "}}";
+    w.key("wait_fraction").num(wait_fraction, 6);
+    w.key("collectives").begin_object();
+    for (std::size_t k = 0; k < kNumCollectiveKinds; ++k)
+      w.key(collective_kind_name(static_cast<CollectiveKind>(k)))
+          .u64(t.collective_calls[k]);
+    w.end_object().end_object();
   }
-  out += "],\"p2p_bytes\":";
-  append_u64_array(out, p2p_bytes, num_ranks);
-  out += ",\"p2p_messages\":";
-  append_u64_array(out, p2p_messages, num_ranks);
-  out += '}';
+  w.end_array();
+  // Row-major matrices as arrays of rows, so the JSON is readable.
+  const std::size_t width = static_cast<std::size_t>(num_ranks);
+  for (const auto& [name, matrix] :
+       {std::pair{"p2p_bytes", &p2p_bytes},
+        std::pair{"p2p_messages", &p2p_messages}}) {
+    w.key(name).begin_array();
+    for (std::size_t row = 0; row * width < matrix->size(); ++row) {
+      w.begin_array();
+      for (std::size_t c = 0; c < width; ++c)
+        w.u64((*matrix)[row * width + c]);
+      w.end_array();
+    }
+    w.end_array();
+  }
+  w.end_object();
   return out;
 }
 

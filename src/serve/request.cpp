@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 namespace hgr::serve {
@@ -23,6 +24,13 @@ bool parse_int64(const std::string& s, std::int64_t& out) {
   if (errno != 0 || end == s.c_str() || *end != '\0') return false;
   out = v;
   return true;
+}
+
+// A vertex id or part count: a non-negative value that fits Index, so the
+// narrowing cast at the call site cannot wrap.
+bool parse_index(const std::string& s, std::int64_t& out) {
+  return parse_int64(s, out) && out >= 0 &&
+         out <= std::numeric_limits<Index>::max();
 }
 
 bool parse_double(const std::string& s, double& out) {
@@ -97,7 +105,7 @@ Request parse_request(const std::string& line) {
         std::int64_t iv = 0;
         double dv = 0.0;
         if (key == "k") {
-          if (!parse_int64(val, iv) || iv < 2)
+          if (!parse_index(val, iv) || iv < 2)
             return invalid("LOAD: bad k '" + val + "'");
           r.k = static_cast<Index>(iv);
         } else if (key == "alpha") {
@@ -105,7 +113,9 @@ Request parse_request(const std::string& line) {
             return invalid("LOAD: bad alpha '" + val + "'");
           r.alpha = iv;
         } else if (key == "eps") {
-          if (!parse_double(val, dv) || dv <= 0.0)
+          // Also rejects nan and inf: an infinite part-weight bound
+          // overflows the integer capacity and disables balance.
+          if (!parse_double(val, dv) || !(dv > 0.0 && dv <= 1.0))
             return invalid("LOAD: bad eps '" + val + "'");
           r.epsilon = dv;
         } else {
@@ -123,7 +133,7 @@ Request parse_request(const std::string& line) {
           return invalid("DELTA: bad update '" + pair + "' (want v:w)");
         std::int64_t v = 0;
         std::int64_t w = 0;
-        if (!parse_int64(pair.substr(0, colon), v) || v < 0)
+        if (!parse_index(pair.substr(0, colon), v))
           return invalid("DELTA: bad vertex in '" + pair + "'");
         if (!parse_int64(pair.substr(colon + 1), w) || w < 0)
           return invalid("DELTA: bad weight in '" + pair + "'");
@@ -145,7 +155,7 @@ Request parse_request(const std::string& line) {
       if (tokens.size() < 3) return invalid("REMOVE: no vertex ids");
       for (std::size_t i = 2; i < tokens.size(); ++i) {
         std::int64_t v = 0;
-        if (!parse_int64(tokens[i], v) || v < 0)
+        if (!parse_index(tokens[i], v))
           return invalid("REMOVE: bad vertex '" + tokens[i] + "'");
         r.remove.push_back(VertexId{static_cast<Index>(v)});
       }

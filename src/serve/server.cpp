@@ -346,9 +346,30 @@ void Server::execute_batch(const std::string& graph,
     bool dispatch = true;
     std::string static_reply;
     switch (head.kind) {
-      case RequestKind::kDelta:
+      case RequestKind::kDelta: {
+        // Validate the whole run before mutating anything: an out-of-range
+        // vertex fails its own request, never its coalesced neighbours.
+        std::vector<PendingRequest> valid;
+        for (PendingRequest& pr : batch) {
+          const auto bad = std::find_if(
+              pr.req.updates.begin(), pr.req.updates.end(),
+              [&](const WeightUpdate& u) {
+                return u.v.v < 0 || u.v.v >= gs->h.num_vertices();
+              });
+          if (bad == pr.req.updates.end()) {
+            valid.push_back(std::move(pr));
+            continue;
+          }
+          errors_counter += 1;
+          reply_to(pr, err_line(pr.req.id,
+                                "DELTA: vertex " + std::to_string(bad->v.v) +
+                                    " out of range"));
+        }
+        batch = std::move(valid);  // `head` dangles; only `batch` is read
+        if (batch.empty()) return;
         delta = apply_delta_batch(*gs, batch);
         break;
+      }
       case RequestKind::kAdd:
         delta = apply_add(*gs, head);
         break;
@@ -432,13 +453,11 @@ RepartitionerConfig Server::make_repart_config(const GraphState& gs) {
 EpochDelta Server::apply_delta_batch(
     GraphState& gs, const std::vector<PendingRequest>& batch) {
   // Compose every update in arrival order (last write per vertex wins),
-  // then seed the epoch delta with the union of touched vertices.
+  // then seed the epoch delta with the union of touched vertices. Every
+  // vertex is in range: execute_batch validated the run.
   IdVector<VertexId, bool> changed(gs.h.num_vertices(), false);
   for (const PendingRequest& pr : batch) {
     for (const WeightUpdate& u : pr.req.updates) {
-      if (u.v.v < 0 || u.v.v >= gs.h.num_vertices())
-        throw std::invalid_argument("DELTA: vertex " + std::to_string(u.v.v) +
-                                    " out of range");
       gs.h.set_vertex_weight(u.v, u.w);
       changed[u.v] = true;
     }

@@ -13,6 +13,7 @@
 #include "fault/fault_plan.hpp"
 #include "hypergraph/convert.hpp"
 #include "obs/events.hpp"
+#include "obs/trace.hpp"
 #include "workload/generators.hpp"
 
 namespace hgr {
@@ -51,7 +52,7 @@ TEST(Chaos, DegradedRunKeepsMidRunTimelineExportBalanced) {
   {
     // Deliberately export while this span is still open, exactly like a
     // crash-path dump taken before the stack unwinds.
-    obs::EventSpan outer("chaos.run", "test");
+    obs::TraceScope outer("chaos.run");
     const GuardedRepartitionResult guarded = run_repartition_with_policy(
         RepartAlgorithm::kHypergraphRepart, h, Graph{}, old_p, cfg);
     EXPECT_TRUE(guarded.degraded);

@@ -28,6 +28,11 @@ TEST(ServeRequest, LoadWithOverrides) {
   EXPECT_EQ(r.k, 8);
   EXPECT_EQ(r.alpha, 50);
   EXPECT_DOUBLE_EQ(r.epsilon, 0.03);
+  // The accepted range's upper ends.
+  const Request top = parse_request("LOAD mesh m.hgr k=2147483647 eps=1");
+  ASSERT_EQ(top.kind, RequestKind::kLoad) << top.error;
+  EXPECT_EQ(top.k, 2147483647);
+  EXPECT_DOUBLE_EQ(top.epsilon, 1.0);
 }
 
 TEST(ServeRequest, DeltaParsesUpdatePairs) {
@@ -57,6 +62,9 @@ TEST(ServeRequest, RemoveParsesVertexIds) {
   ASSERT_EQ(r.remove.size(), 2u);
   EXPECT_EQ(r.remove[0], VertexId{4});
   EXPECT_EQ(r.remove[1], VertexId{9});
+  const Request top = parse_request("REMOVE mesh 2147483647");
+  ASSERT_EQ(top.kind, RequestKind::kRemove) << top.error;
+  EXPECT_EQ(top.remove[0], VertexId{2147483647});
 }
 
 TEST(ServeRequest, SwapAndRepart) {
@@ -84,16 +92,23 @@ TEST(ServeRequest, MalformedLinesReportErrorsWithoutThrowing) {
       "LOAD mesh a.hgr k=1",    // k < 2
       "LOAD mesh a.hgr k=abc",  // non-numeric k
       "LOAD mesh a.hgr eps=0",  // eps must be > 0
+      "LOAD mesh a.hgr k=4294967298",  // would wrap to k=2
+      "LOAD mesh a.hgr k=2147483648",  // would wrap negative
+      "LOAD mesh a.hgr eps=inf",       // unbounded part weight
+      "LOAD mesh a.hgr eps=nan",
+      "LOAD mesh a.hgr eps=1.5",       // eps above 1
       "LOAD mesh a.hgr bogus=1",
       "DELTA mesh",             // no updates
       "DELTA mesh 5",           // missing :w
       "DELTA mesh a:b",         // non-numeric pair
       "DELTA mesh -1:4",        // negative vertex
       "DELTA mesh 1:-4",        // negative weight
+      "DELTA mesh 4294967296:9",  // would wrap to vertex 0
       "ADD mesh",               // no weights
       "ADD mesh -2",            // negative weight
       "REMOVE mesh",            // no vertices
       "REMOVE mesh -3",         // negative vertex
+      "REMOVE mesh 4294967296",  // would wrap to vertex 0
       "SWAP mesh",              // missing path
       "REPART",                 // missing graph
   };

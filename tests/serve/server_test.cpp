@@ -149,6 +149,67 @@ TEST(ServeServer, ConsecutiveDeltasCoalesceIntoOneDispatch) {
   server.shutdown();
 }
 
+/// The reply to request `id`, minus its "OK <id>" prefix ("" if none).
+std::string reply_tail(const ReplyLog& log, std::uint64_t id) {
+  const std::string prefix = "OK " + std::to_string(id) + " ";
+  for (const std::string& line : log.snapshot())
+    if (line.rfind(prefix, 0) == 0) return line.substr(prefix.size());
+  return "";
+}
+
+TEST(ServeServer, BadDeltaInCoalescedRunFailsOnlyItself) {
+  obs::Registry reg;
+  obs::ScopedRegistry scope(reg);
+  ServeConfig cfg = serial_cfg();
+  cfg.fault_plan = std::make_shared<const fault::FaultPlan>(
+      fault::FaultPlan::parse("delay@serve:ms=150,count=0"));  // every batch
+  const std::string path = grid_hgr_path("serve_bad_delta");
+
+  ReplyLog log;
+  Server server(cfg, log_into(log));
+  server.submit("LOAD g " + path + " k=4");
+  wait_until_dequeued(server);  // LOAD is in flight, delayed
+  const std::uint64_t first = server.submit("DELTA g 0:9");
+  const std::uint64_t bad = server.submit("DELTA g 999:9");
+  const std::uint64_t last = server.submit("DELTA g 1:9");
+  server.drain();
+  EXPECT_EQ(log.count_containing("ERR " + std::to_string(bad) +
+                                 " DELTA: vertex 999 out of range"),
+            1u);
+  EXPECT_EQ(log.count_containing("ERR "), 1u);
+  EXPECT_NE(reply_tail(log, first).find("coalesced=1"), std::string::npos);
+  EXPECT_NE(reply_tail(log, last).find("coalesced=1"), std::string::npos);
+  EXPECT_EQ(reg.counter_value("serve.errors"), 1u);
+
+  // An all-ERR run (each request's first update is valid) must change no
+  // weight: the REPART after it matches a twin server that never saw it.
+  server.submit("REPART g");
+  wait_until_dequeued(server);  // REPART is in flight, delayed
+  server.submit("DELTA g 0:1000 64:1");
+  server.submit("DELTA g 5:1000 999:1");
+  const std::uint64_t after = server.submit("REPART g");
+  server.drain();
+  EXPECT_EQ(log.count_containing("ERR "), 3u);
+  EXPECT_EQ(reg.counter_value("serve.errors"), 3u);
+  EXPECT_EQ(reg.counter_value("serve.coalesced"), 3u);  // both runs folded
+  server.shutdown();
+
+  ReplyLog twin_log;
+  Server twin(cfg, log_into(twin_log));
+  twin.submit("LOAD g " + path + " k=4");
+  wait_until_dequeued(twin);
+  twin.submit("DELTA g 0:9");
+  twin.submit("DELTA g 1:9");
+  twin.drain();
+  twin.submit("REPART g");
+  const std::uint64_t twin_after = twin.submit("REPART g");
+  twin.drain();
+  EXPECT_EQ(twin_log.count_containing("coalesced=1"), 2u);
+  ASSERT_FALSE(reply_tail(twin_log, twin_after).empty());
+  EXPECT_EQ(reply_tail(log, after), reply_tail(twin_log, twin_after));
+  twin.shutdown();
+}
+
 TEST(ServeServer, FullQueueShedsWithBusyReply) {
   obs::Registry reg;
   obs::ScopedRegistry scope(reg);
