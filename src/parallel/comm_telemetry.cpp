@@ -63,7 +63,6 @@ void CommTelemetry::accumulate(const CommTelemetry& other) {
     mine.bytes_recv += theirs.bytes_recv;
     mine.messages_sent += theirs.messages_sent;
     mine.messages_recv += theirs.messages_recv;
-    mine.recv_wait_seconds += theirs.recv_wait_seconds;
     mine.barrier_wait_seconds += theirs.barrier_wait_seconds;
     for (std::size_t k = 0; k < kNumCollectiveKinds; ++k)
       mine.collective_calls[k] += theirs.collective_calls[k];
@@ -97,8 +96,7 @@ double CommTelemetry::max_wait_fraction() const {
   if (run_seconds <= 0.0) return 0.0;
   double max = 0.0;
   for (const RankCommTelemetry& r : ranks)
-    max = std::max(max, (r.recv_wait_seconds + r.barrier_wait_seconds) /
-                            run_seconds);
+    max = std::max(max, r.barrier_wait_seconds / run_seconds);
   return max;
 }
 
@@ -116,12 +114,9 @@ std::string CommTelemetry::to_json() const {
     w.key("bytes_recv").u64(t.bytes_recv);
     w.key("messages_sent").u64(t.messages_sent);
     w.key("messages_recv").u64(t.messages_recv);
-    w.key("recv_wait_seconds").num(t.recv_wait_seconds);
     w.key("barrier_wait_seconds").num(t.barrier_wait_seconds);
     const double wait_fraction =
-        run_seconds > 0.0
-            ? (t.recv_wait_seconds + t.barrier_wait_seconds) / run_seconds
-            : 0.0;
+        run_seconds > 0.0 ? t.barrier_wait_seconds / run_seconds : 0.0;
     w.key("wait_fraction").num(wait_fraction, 6);
     w.key("collectives").begin_object();
     for (std::size_t k = 0; k < kNumCollectiveKinds; ++k)

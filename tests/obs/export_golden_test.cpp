@@ -46,9 +46,9 @@ CommTelemetry three_rank_telemetry() {
   t.ranks[0].bytes_recv = 6;
   t.ranks[1].messages_sent = 3;
   t.ranks[2].messages_recv = 5;
-  t.ranks[0].recv_wait_seconds = 0.5;
+  t.ranks[0].barrier_wait_seconds = 0.5;
   t.ranks[1].barrier_wait_seconds = 0.1;
-  t.ranks[2].recv_wait_seconds = 1.0 / 3.0;
+  t.ranks[2].barrier_wait_seconds = 1.0 / 3.0;
   t.ranks[2].collective_calls[0] = 2;
   t.ranks[2].collective_calls[4] = UINT64_MAX;
   t.p2p_bytes_at(0, 1) = 1;
@@ -94,20 +94,19 @@ TEST(ObsExport, GoldenBytes) {
             "2,\"pos\":7},\"comm\":{\"num_ranks\":3,\"runs\":1,\"run_second"
             "s\":2,\"send_byte_imbalance\":1.71429,\"max_wait_fraction\":0."
             "25,\"ranks\":[{\"rank\":0,\"bytes_sent\":1,\"bytes_recv\":6,\""
-            "messages_sent\":0,\"messages_recv\":0,\"recv_wait_seconds\":0."
-            "5,\"barrier_wait_seconds\":0,\"wait_fraction\":0.25,\"collecti"
-            "ves\":{\"barrier\":0,\"allgather\":0,\"allreduce\":0,\"bcast\""
-            ":0,\"alltoallv\":0}},{\"rank\":1,\"bytes_sent\":2,\"bytes_recv"
-            "\":0,\"messages_sent\":3,\"messages_recv\":0,\"recv_wait_secon"
-            "ds\":0,\"barrier_wait_seconds\":0.1,\"wait_fraction\":0.05,\"c"
-            "ollectives\":{\"barrier\":0,\"allgather\":0,\"allreduce\":0,\""
-            "bcast\":0,\"alltoallv\":0}},{\"rank\":2,\"bytes_sent\":4,\"byt"
-            "es_recv\":0,\"messages_sent\":0,\"messages_recv\":5,\"recv_wai"
-            "t_seconds\":0.333333333,\"barrier_wait_seconds\":0,\"wait_frac"
-            "tion\":0.166667,\"collectives\":{\"barrier\":2,\"allgather\":0"
-            ",\"allreduce\":0,\"bcast\":0,\"alltoallv\":1844674407370955161"
-            "5}}],\"p2p_bytes\":[[0,1,0],[0,0,0],[4,0,0]],\"p2p_messages\":"
-            "[[0,0,0],[0,0,3],[0,0,0]]},\"extra\":[1,2]}");
+            "messages_sent\":0,\"messages_recv\":0,\"barrier_wait_seconds\""
+            ":0.5,\"wait_fraction\":0.25,\"collectives\":{\"barrier\":0,\"a"
+            "llgather\":0,\"allreduce\":0,\"bcast\":0,\"alltoallv\":0}},{\""
+            "rank\":1,\"bytes_sent\":2,\"bytes_recv\":0,\"messages_sent\":3"
+            ",\"messages_recv\":0,\"barrier_wait_seconds\":0.1,\"wait_fract"
+            "ion\":0.05,\"collectives\":{\"barrier\":0,\"allgather\":0,\"al"
+            "lreduce\":0,\"bcast\":0,\"alltoallv\":0}},{\"rank\":2,\"bytes_"
+            "sent\":4,\"bytes_recv\":0,\"messages_sent\":0,\"messages_recv"
+            "\":5,\"barrier_wait_seconds\":0.333333333,\"wait_fraction\":0."
+            "166667,\"collectives\":{\"barrier\":2,\"allgather\":0,\"allred"
+            "uce\":0,\"bcast\":0,\"alltoallv\":18446744073709551615}}],\"p2"
+            "p_bytes\":[[0,1,0],[0,0,0],[4,0,0]],\"p2p_messages\":[[0,0,0],"
+            "[0,0,3],[0,0,0]]},\"extra\":[1,2]}");
 
   // --- one stats-stream line.
   obs::StatsSnapshot snap;
@@ -131,20 +130,18 @@ TEST(ObsExport, GoldenBytes) {
             "{\"num_ranks\":3,\"runs\":1,\"run_seconds\":2,\"send_byte_imba"
             "lance\":1.71429,\"max_wait_fraction\":0.25,\"ranks\":[{\"rank"
             "\":0,\"bytes_sent\":1,\"bytes_recv\":6,\"messages_sent\":0,\"m"
-            "essages_recv\":0,\"recv_wait_seconds\":0.5,\"barrier_wait_seco"
-            "nds\":0,\"wait_fraction\":0.25,\"collectives\":{\"barrier\":0,"
-            "\"allgather\":0,\"allreduce\":0,\"bcast\":0,\"alltoallv\":0}},"
-            "{\"rank\":1,\"bytes_sent\":2,\"bytes_recv\":0,\"messages_sent"
-            "\":3,\"messages_recv\":0,\"recv_wait_seconds\":0,\"barrier_wai"
-            "t_seconds\":0.1,\"wait_fraction\":0.05,\"collectives\":{\"barr"
-            "ier\":0,\"allgather\":0,\"allreduce\":0,\"bcast\":0,\"alltoall"
-            "v\":0}},{\"rank\":2,\"bytes_sent\":4,\"bytes_recv\":0,\"messag"
-            "es_sent\":0,\"messages_recv\":5,\"recv_wait_seconds\":0.333333"
-            "333,\"barrier_wait_seconds\":0,\"wait_fraction\":0.166667,\"co"
-            "llectives\":{\"barrier\":2,\"allgather\":0,\"allreduce\":0,\"b"
-            "cast\":0,\"alltoallv\":18446744073709551615}}],\"p2p_bytes\":["
-            "[0,1,0],[0,0,0],[4,0,0]],\"p2p_messages\":[[0,0,0],[0,0,3],[0,"
-            "0,0]]}");
+            "essages_recv\":0,\"barrier_wait_seconds\":0.5,\"wait_fraction"
+            "\":0.25,\"collectives\":{\"barrier\":0,\"allgather\":0,\"allre"
+            "duce\":0,\"bcast\":0,\"alltoallv\":0}},{\"rank\":1,\"bytes_sen"
+            "t\":2,\"bytes_recv\":0,\"messages_sent\":3,\"messages_recv\":0"
+            ",\"barrier_wait_seconds\":0.1,\"wait_fraction\":0.05,\"collect"
+            "ives\":{\"barrier\":0,\"allgather\":0,\"allreduce\":0,\"bcast"
+            "\":0,\"alltoallv\":0}},{\"rank\":2,\"bytes_sent\":4,\"bytes_re"
+            "cv\":0,\"messages_sent\":0,\"messages_recv\":5,\"barrier_wait_"
+            "seconds\":0.333333333,\"wait_fraction\":0.166667,\"collectives"
+            "\":{\"barrier\":2,\"allgather\":0,\"allreduce\":0,\"bcast\":0,"
+            "\"alltoallv\":18446744073709551615}}],\"p2p_bytes\":[[0,1,0],["
+            "0,0,0],[4,0,0]],\"p2p_messages\":[[0,0,0],[0,0,3],[0,0,0]]}");
   EXPECT_EQ(CommTelemetry{}.to_json(),
             "{\"num_ranks\":0,\"runs\":0,\"run_seconds\":0,\"send_byte_imba"
             "lance\":0,\"max_wait_fraction\":0,\"ranks\":[],\"p2p_bytes\":["
