@@ -31,10 +31,6 @@ std::string to_string(FaultSite site) {
       return "bcast";
     case FaultSite::kAlltoallv:
       return "alltoallv";
-    case FaultSite::kSend:
-      return "send";
-    case FaultSite::kRecv:
-      return "recv";
     case FaultSite::kServe:
       return "serve";
     case FaultSite::kAny:
@@ -134,8 +130,8 @@ bool parse_kind(const std::string& name, FaultKind& out) {
 bool parse_site(const std::string& name, FaultSite& out) {
   for (const FaultSite s :
        {FaultSite::kBarrier, FaultSite::kAllgather, FaultSite::kAllreduce,
-        FaultSite::kBcast, FaultSite::kAlltoallv, FaultSite::kSend,
-        FaultSite::kRecv, FaultSite::kServe, FaultSite::kAny})
+        FaultSite::kBcast, FaultSite::kAlltoallv, FaultSite::kServe,
+        FaultSite::kAny})
     if (name == to_string(s)) {
       out = s;
       return true;

@@ -53,8 +53,7 @@ class PoolBlock {
 };
 
 /// Free list of raw blocks. One thread at a time: each comm rank owns one
-/// pool, and the shared per-mailbox pools are serialized by the mailbox
-/// mutex. That used to be an unchecked convention; acquire/release/clear
+/// pool. That used to be an unchecked convention; acquire/release/clear
 /// now carry an always-on busy-flag guard (same scheme as Workspace) that
 /// aborts on concurrent mutation instead of corrupting the free list —
 /// relevant now that thread pools run inside each rank

@@ -1,34 +1,49 @@
 // Regression tests for the comm deadlock watchdog: runs that would hang
-// forever must instead fail fast with a per-rank diagnosis.
+// forever must instead fail fast with a per-rank diagnosis. The runtime is
+// collectives-only, so the hang vectors are an injected stall (a rank that
+// never publishes) and a rank that returns while its peers still wait.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "fault/fault_plan.hpp"
 #include "parallel/comm.hpp"
 
 namespace hgr {
 namespace {
 
+std::shared_ptr<const fault::FaultPlan> plan(const std::string& spec) {
+  return std::make_shared<const fault::FaultPlan>(fault::FaultPlan::parse(spec));
+}
+
+/// One-slice ring alltoallv: each rank sends `value` to the next rank.
+std::int64_t ring_shift(RankContext& ctx, std::int64_t value) {
+  const int next = (ctx.rank() + 1) % ctx.size();
+  const int prev = (ctx.rank() + ctx.size() - 1) % ctx.size();
+  FlatBuffer<std::int64_t> out = ctx.make_buffer<std::int64_t>();
+  out.count(next) = 1;
+  out.commit_counts();
+  out.push(next, value);
+  return ctx.alltoallv(out).slot(prev)[0];
+}
+
 TEST(Watchdog, RecvNobodySendsIsDiagnosed) {
+  // Rank 0 stalls before publishing its alltoallv slices; ranks 1 and 2
+  // wait in the exchange for data that never comes. Without the watchdog
+  // this hangs.
   Comm comm(3);
   comm.set_deadlock_timeout(0.2);
+  comm.set_fault_plan(plan("stall@alltoallv:rank=0"));
   try {
-    comm.run([](RankContext& ctx) {
-      if (ctx.rank() == 0) {
-        // Rank 0 waits for a message rank 1 never sends; 1 and 2 wait at a
-        // barrier rank 0 can never reach. Without the watchdog this hangs.
-        (void)ctx.recv<std::uint8_t>(1, 7);
-      } else {
-        ctx.barrier();
-      }
-    });
+    comm.run([](RankContext& ctx) { (void)ring_shift(ctx, ctx.rank()); });
     FAIL() << "deadlocked run returned";
   } catch (const CommDeadlock& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("deadlock"), std::string::npos) << what;
-    EXPECT_NE(what.find("rank 0: recv(src=1, tag=7)"), std::string::npos)
+    EXPECT_NE(what.find("rank 0: stalled (injected fault)"), std::string::npos)
         << what;
     EXPECT_NE(what.find("rank 1: barrier"), std::string::npos) << what;
     EXPECT_NE(what.find("rank 2: barrier"), std::string::npos) << what;
@@ -36,42 +51,64 @@ TEST(Watchdog, RecvNobodySendsIsDiagnosed) {
 }
 
 TEST(Watchdog, MismatchedTagIsDiagnosed) {
+  // The collective analogue of a tag mix-up: the two ranks run different
+  // collective sequences, so rank 0's second call finds nobody to meet.
   Comm comm(2);
   comm.set_deadlock_timeout(0.2);
   try {
     comm.run([](RankContext& ctx) {
-      if (ctx.rank() == 0) {
-        const std::vector<std::uint8_t> payload = {1, 2, 3};
-        ctx.send<std::uint8_t>(1, 5, payload);
-        (void)ctx.recv<std::uint8_t>(1, 5);
-      } else {
-        // Waits on tag 6 while rank 0 sent tag 5: classic tag mix-up.
-        (void)ctx.recv<std::uint8_t>(0, 6);
-      }
+      (void)ctx.allreduce_sum<int>(1);
+      if (ctx.rank() == 0) (void)ctx.bcast(std::vector<int>{1, 2, 3}, 0);
     });
     FAIL() << "deadlocked run returned";
   } catch (const CommDeadlock& e) {
-    EXPECT_NE(std::string(e.what()).find("rank 1: recv(src=0, tag=6)"),
+    const std::string what = e.what();
+    EXPECT_NE(what.find("rank 0: barrier (1 of 2 arrived)"),
               std::string::npos)
-        << e.what();
+        << what;
+    EXPECT_NE(what.find("rank 1: returned"), std::string::npos) << what;
+  }
+}
+
+TEST(Watchdog, RankReturnedBeforeBarrierIsDiagnosed) {
+  // Rank 0 enters a barrier its peers never reach: they returned. A
+  // returned rank publishes no wait, so "all ranks blocked" alone never
+  // holds; the watchdog must count it as unable to progress.
+  for (const int ranks : {2, 3}) {
+    Comm comm(ranks);
+    comm.set_deadlock_timeout(0.2);
+    WallTimer timer;
+    try {
+      comm.run([](RankContext& ctx) {
+        if (ctx.rank() == 0) ctx.barrier();
+      });
+      FAIL() << "deadlocked run returned, ranks=" << ranks;
+    } catch (const CommDeadlock& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("rank 0: barrier (1 of " + std::to_string(ranks) +
+                          " arrived)"),
+                std::string::npos)
+          << what;
+      for (int r = 1; r < ranks; ++r)
+        EXPECT_NE(what.find("rank " + std::to_string(r) + ": returned"),
+                  std::string::npos)
+            << what;
+    }
+    EXPECT_LT(timer.seconds(), 5.0);
   }
 }
 
 TEST(Watchdog, HealthyTrafficDoesNotTrip) {
-  // Several barrier+message rounds under a timeout shorter than the total
-  // runtime of the loop: progress between blocking points must keep the
-  // watchdog quiet.
+  // Several exchange+barrier rounds under a timeout shorter than the total
+  // runtime of the loop, ending with ranks returning at different times:
+  // progress between blocking points must keep the watchdog quiet.
   Comm comm(4);
   comm.set_deadlock_timeout(0.3);
-  std::vector<int> sums(4, 0);
+  std::vector<std::int64_t> sums(4, 0);
   comm.run([&](RankContext& ctx) {
     for (int round = 0; round < 20; ++round) {
-      const int peer = (ctx.rank() + 1) % ctx.size();
-      const std::vector<int> payload = {round + ctx.rank()};
-      ctx.send<int>(peer, 1, payload);
-      const std::vector<int> got =
-          ctx.recv<int>((ctx.rank() + ctx.size() - 1) % ctx.size(), 1);
-      sums[static_cast<std::size_t>(ctx.rank())] += got[0];
+      sums[static_cast<std::size_t>(ctx.rank())] +=
+          ring_shift(ctx, round + ctx.rank());
       ctx.barrier();
     }
   });
@@ -85,7 +122,7 @@ TEST(Watchdog, RealExceptionOutranksDeadlockReport) {
   comm.set_deadlock_timeout(0.2);
   EXPECT_THROW(comm.run([](RankContext& ctx) {
                  if (ctx.rank() == 0) throw std::logic_error("boom");
-                 (void)ctx.recv<std::uint8_t>(0, 3);
+                 (void)ring_shift(ctx, 1);
                }),
                std::logic_error);
 }
@@ -114,9 +151,10 @@ TEST(Watchdog, TimeoutUpdateMidRunIsHonored) {
   EXPECT_THROW(comm.run([&](RankContext& ctx) {
                  if (ctx.rank() == 0) comm.set_deadlock_timeout(0.2);
                  ctx.barrier();
-                 // Mutual recv: a textbook deadlock under the new 0.2s
-                 // timeout; under the stale 300s one this test times out.
-                 (void)ctx.recv<std::uint8_t>(1 - ctx.rank(), 4);
+                 // Rank 1 returns while rank 0 waits: a deadlock under the
+                 // new 0.2s timeout; under the stale 300s one this test
+                 // times out.
+                 if (ctx.rank() == 0) ctx.barrier();
                }),
                CommDeadlock);
   EXPECT_LT(timer.seconds(), 30.0);
@@ -126,8 +164,7 @@ TEST(Watchdog, CommStaysReusableAfterDeadlock) {
   Comm comm(2);
   comm.set_deadlock_timeout(0.2);
   EXPECT_THROW(comm.run([](RankContext& ctx) {
-                 if (ctx.rank() == 0) (void)ctx.recv<std::uint8_t>(1, 9);
-                 else (void)ctx.recv<std::uint8_t>(0, 9);
+                 if (ctx.rank() == 1) ctx.barrier();
                }),
                CommDeadlock);
   // The same communicator must complete a healthy run afterwards.

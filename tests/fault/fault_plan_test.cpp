@@ -25,7 +25,7 @@ TEST(FaultPlan, ParseSingleRuleDefaults) {
 TEST(FaultPlan, ParseFullSpec) {
   const FaultPlan plan = FaultPlan::parse(
       "seed=42;stall@barrier:rank=1,after=3;"
-      "delay@send:ms=2.5,count=0,prob=0.25");
+      "delay@bcast:ms=2.5,count=0,prob=0.25");
   EXPECT_EQ(plan.seed(), 42u);
   ASSERT_EQ(plan.rules().size(), 2u);
   EXPECT_EQ(plan.rules()[0].kind, FaultKind::kStall);
@@ -33,7 +33,7 @@ TEST(FaultPlan, ParseFullSpec) {
   EXPECT_EQ(plan.rules()[0].rank, 1);
   EXPECT_EQ(plan.rules()[0].after, 3u);
   EXPECT_EQ(plan.rules()[1].kind, FaultKind::kDelay);
-  EXPECT_EQ(plan.rules()[1].site, FaultSite::kSend);
+  EXPECT_EQ(plan.rules()[1].site, FaultSite::kBcast);
   EXPECT_DOUBLE_EQ(plan.rules()[1].delay_ms, 2.5);
   EXPECT_EQ(plan.rules()[1].count, 0u);
   EXPECT_DOUBLE_EQ(plan.rules()[1].probability, 0.25);
@@ -70,8 +70,10 @@ TEST(FaultPlan, ParseRejectsMalformedSpecs) {
       "throw@barrier:after=0",         // after is 1-based
       "throw@barrier:rank=4096",       // rank out of range
       "throw@barrier:prob=1.5",        // prob out of range
-      "delay@send:ms=-1",              // negative delay
+      "delay@bcast:ms=-1",             // negative delay
       "seed=bogus;throw@barrier",      // bad seed
+      "delay@send",                    // no point-to-point sites
+      "stall@recv",                    // no point-to-point sites
   };
   for (const std::string& spec : bad)
     EXPECT_THROW(FaultPlan::parse(spec), std::invalid_argument) << spec;
@@ -112,14 +114,13 @@ TEST(FaultPlan, RankFilterAndPerRankCounters) {
 TEST(FaultPlan, SiteFilterAndAny) {
   const FaultPlan plan = FaultPlan::parse("throw@allgather:count=0");
   EXPECT_FALSE(plan.check(FaultSite::kBarrier, 0).has_value());
-  EXPECT_FALSE(plan.check(FaultSite::kRecv, 0).has_value());
+  EXPECT_FALSE(plan.check(FaultSite::kBcast, 0).has_value());
   EXPECT_TRUE(plan.check(FaultSite::kAllgather, 0).has_value());
 
   const FaultPlan any = FaultPlan::parse("delay@any:count=0");
   for (const FaultSite s :
        {FaultSite::kBarrier, FaultSite::kAllgather, FaultSite::kAllreduce,
-        FaultSite::kBcast, FaultSite::kAlltoallv, FaultSite::kSend,
-        FaultSite::kRecv})
+        FaultSite::kBcast, FaultSite::kAlltoallv, FaultSite::kServe})
     EXPECT_TRUE(any.check(s, 0).has_value()) << to_string(s);
 }
 
@@ -159,12 +160,12 @@ TEST(FaultPlan, ProbabilityIsSeedDeterministic) {
 }
 
 TEST(FaultPlan, DecisionCarriesKindAndDiagnosis) {
-  const FaultPlan plan = FaultPlan::parse("delay@send:ms=7.5,count=0");
-  const std::optional<FaultDecision> d = plan.check(FaultSite::kSend, 2);
+  const FaultPlan plan = FaultPlan::parse("delay@alltoallv:ms=7.5,count=0");
+  const std::optional<FaultDecision> d = plan.check(FaultSite::kAlltoallv, 2);
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(d->kind, FaultKind::kDelay);
   EXPECT_DOUBLE_EQ(d->delay_ms, 7.5);
-  EXPECT_NE(d->description.find("delay@send"), std::string::npos)
+  EXPECT_NE(d->description.find("delay@alltoallv"), std::string::npos)
       << d->description;
   EXPECT_NE(d->description.find("rank=2"), std::string::npos)
       << d->description;

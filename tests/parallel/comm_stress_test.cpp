@@ -1,9 +1,12 @@
-// Stress and ordering tests for the message-passing runtime: the
-// correctness of every parallel algorithm rests on these semantics.
+// Stress and ordering tests for the collective runtime: the correctness of
+// every parallel algorithm rests on these semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
+#include <span>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "parallel/comm.hpp"
@@ -15,52 +18,55 @@ TEST(CommStress, ManySmallMessagesAllArrive) {
   Comm comm(4);
   comm.run([](RankContext& ctx) {
     const int rounds = 200;
-    // Everyone sends `rounds` messages to the next rank, receives from the
-    // previous, with interleaved sends/recvs.
+    // Every round, each rank sends one word to the next rank in a ring and
+    // receives one from the previous, through a one-slice alltoallv.
     const int next = (ctx.rank() + 1) % ctx.size();
     const int prev = (ctx.rank() + ctx.size() - 1) % ctx.size();
     std::int64_t received_sum = 0;
     for (int i = 0; i < rounds; ++i) {
-      ctx.send<std::int64_t>(next, 5,
-                             std::vector<std::int64_t>{ctx.rank() * 1000 + i});
-      const auto m = ctx.recv<std::int64_t>(prev, 5);
-      received_sum += m[0];
+      FlatBuffer<std::int64_t> out = ctx.make_buffer<std::int64_t>();
+      out.count(next) = 1;
+      out.commit_counts();
+      out.push(next, ctx.rank() * 1000 + i);
+      const FlatBuffer<std::int64_t> in = ctx.alltoallv(out);
+      ASSERT_EQ(in.slot(prev).size(), 1u);
+      ASSERT_EQ(in.total(), 1u);
+      received_sum += in.slot(prev)[0];
     }
     std::int64_t expect = 0;
     for (int i = 0; i < rounds; ++i) expect += prev * 1000 + i;
     EXPECT_EQ(received_sum, expect);
   });
+  EXPECT_EQ(comm.total_stats().bytes_recv, 4u * 200u * sizeof(std::int64_t));
 }
 
-TEST(CommStress, DistinctTagsDoNotInterfere) {
-  Comm comm(2);
-  comm.run([](RankContext& ctx) {
-    if (ctx.rank() == 0) {
-      // Send on tag 2 first, then tag 1; receiver reads tag 1 first.
-      ctx.send<std::int32_t>(1, 2, std::vector<std::int32_t>{22});
-      ctx.send<std::int32_t>(1, 1, std::vector<std::int32_t>{11});
-    } else {
-      EXPECT_EQ(ctx.recv<std::int32_t>(0, 1)[0], 11);
-      EXPECT_EQ(ctx.recv<std::int32_t>(0, 2)[0], 22);
-    }
-  });
-}
-
+// A 2 MiB payload first through alltoallv, then through allgatherv: each
+// grows its window half past every earlier publish.
 TEST(CommStress, LargePayloadIntegrity) {
   Comm comm(2);
   comm.run([](RankContext& ctx) {
     const std::size_t n = 1 << 18;  // 2 MiB of int64
-    if (ctx.rank() == 0) {
-      std::vector<std::int64_t> big(n);
-      std::iota(big.begin(), big.end(), std::int64_t{7});
-      ctx.send<std::int64_t>(1, 3, big);
-    } else {
-      const auto got = ctx.recv<std::int64_t>(0, 3);
-      ASSERT_EQ(got.size(), n);
-      EXPECT_EQ(got.front(), 7);
-      EXPECT_EQ(got.back(), static_cast<std::int64_t>(7 + n - 1));
+    std::vector<std::int64_t> want(n);
+    std::iota(want.begin(), want.end(), std::int64_t{7});
+    const std::span<const std::int64_t> mine =
+        ctx.rank() == 0 ? std::span<const std::int64_t>(want)
+                        : std::span<const std::int64_t>();
+    FlatBuffer<std::int64_t> out = ctx.make_buffer<std::int64_t>();
+    out.count(1) = mine.size();
+    out.commit_counts();
+    std::copy(mine.begin(), mine.end(), out.push_n(1, mine.size()).begin());
+    const FlatBuffer<std::int64_t> in = ctx.alltoallv(out);
+    const FlatBuffer<std::int64_t> all = ctx.allgatherv(mine);
+    const auto intact = [&want](std::span<const std::int64_t> got) {
+      return std::equal(got.begin(), got.end(), want.begin(), want.end());
+    };
+    if (ctx.rank() == 1) {
+      EXPECT_TRUE(intact(in.slot(0)));
     }
+    EXPECT_TRUE(intact(all.slot(0)));
+    EXPECT_TRUE(all.slot(1).empty());
   });
+  EXPECT_EQ(comm.rank_stats(1).bytes_recv, (std::size_t{1} << 18) * 8);
 }
 
 TEST(CommStress, RepeatedCollectivesStayInLockstep) {

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 
@@ -26,40 +25,6 @@ TEST(Comm, AllRanksLaunch) {
   std::atomic<int> mask{0};
   comm.run([&](RankContext& ctx) { mask |= 1 << ctx.rank(); });
   EXPECT_EQ(mask.load(), 0b1111);
-}
-
-TEST(Comm, PointToPointRoundTrip) {
-  Comm comm(2);
-  comm.run([](RankContext& ctx) {
-    if (ctx.rank() == 0) {
-      const std::vector<std::int64_t> payload{1, 2, 3};
-      ctx.send<std::int64_t>(1, 7, payload);
-      const auto reply = ctx.recv<std::int64_t>(1, 8);
-      EXPECT_EQ(reply, (std::vector<std::int64_t>{6}));
-    } else {
-      const auto msg = ctx.recv<std::int64_t>(0, 7);
-      EXPECT_EQ(msg.size(), 3u);
-      const std::vector<std::int64_t> reply{
-          std::accumulate(msg.begin(), msg.end(), std::int64_t{0})};
-      ctx.send<std::int64_t>(0, 8, reply);
-    }
-  });
-  EXPECT_GT(comm.total_stats().bytes_sent, 0u);
-}
-
-TEST(Comm, MessagesWithSameTagArriveInOrder) {
-  Comm comm(2);
-  comm.run([](RankContext& ctx) {
-    if (ctx.rank() == 0) {
-      for (std::int32_t i = 0; i < 10; ++i)
-        ctx.send<std::int32_t>(1, 1, std::vector<std::int32_t>{i});
-    } else {
-      for (std::int32_t i = 0; i < 10; ++i) {
-        const auto m = ctx.recv<std::int32_t>(0, 1);
-        EXPECT_EQ(m[0], i);
-      }
-    }
-  });
 }
 
 TEST(Comm, BarrierSynchronizes) {
@@ -138,15 +103,24 @@ TEST(Comm, Alltoallv) {
   });
 }
 
+// An alltoallv whose only nonempty slice is the rank's own: the self
+// slice is delivered but never counted as traffic.
 TEST(Comm, TrafficCountersExcludeSelfSends) {
   Comm comm(2);
   comm.run([](RankContext& ctx) {
-    ctx.send<std::int32_t>(ctx.rank(), 1, std::vector<std::int32_t>{1});
-    const auto m = ctx.recv<std::int32_t>(ctx.rank(), 1);
-    EXPECT_EQ(m[0], 1);
-    ctx.barrier();
+    FlatBuffer<std::int32_t> outgoing = ctx.make_buffer<std::int32_t>();
+    outgoing.count(ctx.rank()) = 1;
+    outgoing.commit_counts();
+    outgoing.push(ctx.rank(), 1);
+    const FlatBuffer<std::int32_t> incoming = ctx.alltoallv(outgoing);
+    ASSERT_EQ(incoming.slot(ctx.rank()).size(), 1u);
+    EXPECT_EQ(incoming.slot(ctx.rank())[0], 1);
+    EXPECT_TRUE(incoming.slot(1 - ctx.rank()).empty());
   });
   EXPECT_EQ(comm.total_stats().bytes_sent, 0u);
+  EXPECT_EQ(comm.total_stats().bytes_recv, 0u);
+  EXPECT_EQ(comm.telemetry().p2p_bytes_at(0, 1), 0u);
+  EXPECT_EQ(comm.telemetry().p2p_bytes_at(1, 0), 0u);
   EXPECT_GT(comm.total_stats().collectives, 0u);
 }
 
@@ -176,13 +150,18 @@ TEST(Comm, ExceptionPropagatesWhilePeersBlockInBarrier) {
   }
 }
 
+// The receiving side of an exchange: rank 1 waits in an alltoallv for the
+// slice rank 0 never publishes.
 TEST(Comm, ExceptionPropagatesWhilePeersBlockInRecv) {
   Comm comm(2);
   try {
     comm.run([](RankContext& ctx) {
       if (ctx.rank() == 0) throw std::runtime_error("sender died");
-      const auto m = ctx.recv<std::int32_t>(0, 3);  // never sent
-      (void)m;
+      FlatBuffer<std::int32_t> outgoing = ctx.make_buffer<std::int32_t>();
+      outgoing.count(ctx.rank()) = 1;
+      outgoing.commit_counts();
+      outgoing.push(ctx.rank(), 7);
+      (void)ctx.alltoallv(outgoing);  // rank 0's slice never arrives
     });
     FAIL() << "run() should have rethrown";
   } catch (const std::runtime_error& e) {
@@ -218,8 +197,8 @@ TEST(Comm, ReusableAfterFailedRun) {
                  ctx.barrier();
                }),
                std::runtime_error);
-  // The next run starts from a clean slate: barriers, mailboxes, and the
-  // abort flag are all reset.
+  // The next run starts from a clean slate: barriers, the exchange window,
+  // and the abort flag are all reset.
   comm.run([](RankContext& ctx) {
     EXPECT_EQ(ctx.allreduce_sum<std::int32_t>(1), 3);
     ctx.barrier();
@@ -233,30 +212,6 @@ TEST(Comm, ReusableAfterFailedRun) {
       EXPECT_EQ(incoming.slot(s)[0], s);
     }
   });
-}
-
-TEST(CommDeathTest, UserSendMustNotUseReservedAlltoallTag) {
-  EXPECT_DEATH(
-      {
-        Comm comm(1);
-        comm.run([](RankContext& ctx) {
-          ctx.send<std::int32_t>(0, kAlltoallTag,
-                                 std::vector<std::int32_t>{1});
-        });
-      },
-      "reserved alltoall tag");
-}
-
-TEST(CommDeathTest, UserRecvMustNotUseReservedAlltoallTag) {
-  EXPECT_DEATH(
-      {
-        Comm comm(1);
-        comm.run([](RankContext& ctx) {
-          const auto m = ctx.recv<std::int32_t>(0, kAlltoallTag);
-          (void)m;
-        });
-      },
-      "reserved alltoall tag");
 }
 
 }  // namespace

@@ -25,9 +25,6 @@ Textual rules (all scoped to src/ and tools/ C++ sources):
                    partitioning bugs produce silently-wrong partitions, not
                    crashes. Use HGR_ASSERT / HGR_ASSERT_FMT (always on) or
                    HGR_DASSERT (hot loops, intentionally debug-only).
-  reserved-tag     kAlltoallTag is internal to the alltoallv implementation;
-                   user-level sends or recvs on it would interleave with
-                   collective traffic.
   steady-clock     No raw std::chrono::steady_clock::now() outside src/obs
                    and common/timer.hpp. Timing flows through WallTimer or
                    the obs event clock so every measurement shows up in the
@@ -154,14 +151,6 @@ RULES = [
         re.compile(r"(?<![\w_.])assert\s*\("),
         "use HGR_ASSERT (always-on) or HGR_DASSERT (debug-only) instead",
         None,
-    ),
-    (
-        "reserved-tag",
-        re.compile(r"kAlltoallTag"),
-        "the alltoall tag is reserved for internal collective traffic",
-        # The comm layer itself defines and guards the tag.
-        lambda path: not (path.parts[-2:] in (("parallel", "comm.hpp"),
-                                              ("parallel", "comm.cpp"))),
     ),
     (
         "steady-clock",
