@@ -128,50 +128,19 @@ IncrementalOutcome IncrementalRepartitioner::try_epoch(
           : std::max<Index>(256, 4 * n);
 
   Borrowed<PartId> cand_b(ws_);
-  std::vector<PartId>& candidates = cand_b.get();
   Borrowed<Weight> gain_to_b(ws_);
-  std::vector<Weight>& gain_to = gain_to_b.get();
-  gain_to.assign(static_cast<std::size_t>(k), 0);
+  Borrowed<std::uint64_t> words_b(ws_);
 
+  // The k-way move rule (GainCache::best_move): an overweight source part
+  // may shed vertices at negative gain — restoring Eq. 1 after a weight
+  // perturbation is the fast path's first job, cut repair its second.
   std::size_t head = 0;
   while (head < queue.size() && out.moves < budget) {
     const VertexId v = queue[head++];
     queued[static_cast<std::size_t>(v.v)] = false;
-    const PartId from = cache.part_of(v);
-    cache.candidate_parts_into(candidates, v);
-    if (candidates.empty()) continue;
-    const Weight leave_gain = cache.leave_gain(v);
-    for (const NetId net : h.incident_nets(v)) {
-      const Weight c = h.net_cost(net);
-      if (c == 0) continue;
-      for (const PartId q : candidates)
-        if (!cache.net_touches(net, q))
-          gain_to[static_cast<std::size_t>(q.v)] -= c;
-    }
-    const Weight wv = h.vertex_weight(v);
-    const bool from_overweight = cache.part_weight(from) > max_pw;
-    PartId best = kNoPart;
-    Weight best_gain = 0;
-    Weight best_dest_w = 0;
-    for (const PartId q : candidates) {
-      const Weight g = leave_gain + gain_to[static_cast<std::size_t>(q.v)];
-      gain_to[static_cast<std::size_t>(q.v)] = 0;
-      const Weight dest_w = cache.part_weight(q);
-      if (dest_w + wv > max_pw) continue;
-      const bool improves_balance = cache.part_weight(from) > dest_w + wv;
-      // Same acceptance rule as the k-way refiner, with one extension:
-      // an overweight source part may shed vertices at negative gain —
-      // restoring Eq. 1 after a weight perturbation is the fast path's
-      // first job, cut repair its second.
-      if (!from_overweight && (g < 0 || (g == 0 && !improves_balance)))
-        continue;
-      if (best == kNoPart || g > best_gain ||
-          (g == best_gain && dest_w < best_dest_w)) {
-        best = q;
-        best_gain = g;
-        best_dest_w = dest_w;
-      }
-    }
+    const PartId best = cache.best_move(v, max_pw, cand_b.get(),
+                                        gain_to_b.get(), words_b.get())
+                            .to;
     if (best == kNoPart) continue;
     cache.apply_move(v, best);
     ++out.moves;

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/assert.hpp"
-#include "common/rng.hpp"
 #include "metrics/balance.hpp"
 #include "metrics/cut.hpp"
 #include "obs/trace.hpp"
@@ -28,8 +27,7 @@ struct MoveProposal {
 }  // namespace
 
 ParRefineResult parallel_refine(RankContext& ctx, const Hypergraph& h,
-                                Partition& p, const PartitionConfig& cfg,
-                                std::uint64_t seed) {
+                                Partition& p, const PartitionConfig& cfg) {
   ParRefineResult result;
   result.initial_cut = connectivity_cut(h, p);
   result.final_cut = result.initial_cut;
@@ -41,8 +39,8 @@ ParRefineResult parallel_refine(RankContext& ctx, const Hypergraph& h,
   const Weight max_w = max_part_weight(h.total_vertex_weight(), p.k,
                                        cfg.epsilon);
   const auto [lo, hi] = block_range(h.num_vertices(), ctx.size(), ctx.rank());
-  Rng rng(derive_seed(seed, 77 + static_cast<std::uint64_t>(ctx.rank())));
   std::vector<PartId> candidates;
+  std::vector<std::uint64_t> words;
   std::uint64_t gain_evals = 0;
 
   // Global quantities (identical on every rank) are counted by rank 0
@@ -53,18 +51,16 @@ ParRefineResult parallel_refine(RankContext& ctx, const Hypergraph& h,
   for (Index pass = 0; pass < cfg.max_refine_passes; ++pass) {
     ++result.passes;
 
-    // Propose: scan owned vertices in random order against the current
-    // (pass-start) state.
-    std::vector<Index> owned;
-    for (Index v = lo; v < hi; ++v) owned.push_back(v);
-    rng.shuffle(owned);
+    // Propose: scan owned vertices against the frozen pass-start state.
+    // Scan order cannot matter: each proposal depends on the pass-start
+    // cache alone, and the exchange below sorts them into a total order.
     std::vector<MoveProposal> proposals;
-    for (const Index vi : owned) {
+    for (Index vi = lo; vi < hi; ++vi) {
       const VertexId v{vi};
       if (h.fixed_part(v) != kNoPart) continue;
       // Best positive-gain feasible destination. Candidates come in
       // ascending part order, so ties keep the lowest part id.
-      cache.candidate_parts_into(candidates, v);
+      cache.candidate_parts_into(candidates, v, words);
       PartId best = kNoPart;
       Weight best_gain = 0;
       for (const PartId q : candidates) {

@@ -23,7 +23,6 @@ struct ParRefineResult {
 };
 
 ParRefineResult parallel_refine(RankContext& ctx, const Hypergraph& h,
-                                Partition& p, const PartitionConfig& cfg,
-                                std::uint64_t seed);
+                                Partition& p, const PartitionConfig& cfg);
 
 }  // namespace hgr

@@ -18,8 +18,7 @@ GainCache::GainCache(const Hypergraph& h, Index k,
       conn_(ws),
       part_(ws),
       part_w_(ws),
-      leave_gain_(ws),
-      scratch_(ws) {
+      leave_gain_(ws) {
   HGR_ASSERT(k >= 1);
   HGR_ASSERT(parts.ssize() == h.num_vertices());
   const auto n = static_cast<std::size_t>(h.num_vertices());
@@ -29,7 +28,6 @@ GainCache::GainCache(const Hypergraph& h, Index k,
   part_->assign(parts.begin(), parts.end());
   part_w_->assign(static_cast<std::size_t>(k), 0);
   leave_gain_->assign(n, 0);
-  scratch_->assign(words_per_row_, 0);
 
   for (const VertexId v : h.vertices()) {
     const PartId q = part_of(v);
@@ -59,10 +57,6 @@ GainCache::GainCache(const Hypergraph& h, Index k,
   builds += 1;
 }
 
-void GainCache::candidate_parts_into(std::vector<PartId>& out, VertexId v) {
-  candidate_parts_into(out, v, scratch_.get());
-}
-
 void GainCache::candidate_parts_into(std::vector<PartId>& out, VertexId v,
                                      std::vector<std::uint64_t>& acc) const {
   out.clear();
@@ -81,6 +75,42 @@ void GainCache::candidate_parts_into(std::vector<PartId>& out, VertexId v,
       out.push_back(PartId{static_cast<Index>(w * 64) + b});
     }
   }
+}
+
+GainCache::Move GainCache::best_move(
+    VertexId v, Weight max_w, std::vector<PartId>& candidates,
+    std::vector<Weight>& gain_to, std::vector<std::uint64_t>& words) const {
+  candidate_parts_into(candidates, v, words);
+  if (candidates.empty()) return {};
+  gain_to.resize(static_cast<std::size_t>(k_), 0);
+  // gain_to[q] accumulates the entering penalty (<= 0) of each candidate;
+  // gain(from -> q) = leave_gain + gain_to[q].
+  for (const NetId net : h_.incident_nets(v)) {
+    const Weight c = h_.net_cost(net);
+    if (c == 0) continue;
+    for (const PartId q : candidates)
+      if (!net_touches(net, q)) gain_to[static_cast<std::size_t>(q.v)] -= c;
+  }
+  const Weight from_w = part_weight(part_of(v));
+  const Weight wv = h_.vertex_weight(v);
+  Move best;
+  Weight best_dest_w = 0;
+  for (const PartId q : candidates) {
+    Weight& penalty = gain_to[static_cast<std::size_t>(q.v)];
+    const Weight g = leave_gain(v) + penalty;
+    penalty = 0;  // restore the k zeros for the next call
+    const Weight dest_w = part_weight(q);
+    if (dest_w + wv > max_w) continue;
+    const bool improves_balance = from_w > dest_w + wv;
+    if (from_w <= max_w && (g < 0 || (g == 0 && !improves_balance)))
+      continue;
+    if (best.to == kNoPart || g > best.gain ||
+        (g == best.gain && dest_w < best_dest_w)) {
+      best = {q, g};
+      best_dest_w = dest_w;
+    }
+  }
+  return best;
 }
 
 void GainCache::note_move() {

@@ -89,14 +89,30 @@ class GainCache {
 
   /// Distinct parts (other than part_of(v)) touched by v's nets, i.e. the
   /// candidate destinations of a boundary move. Ascending part order.
-  /// O(deg(v) * k/64 + |result|) — no pin-list traversal.
-  void candidate_parts_into(std::vector<PartId>& out, VertexId v);
-
-  /// Same, with caller-supplied word scratch instead of the cache's own —
-  /// const, so thread-parallel readers (the k-way proposal phase) can share
-  /// one frozen cache as long as each thread brings its own scratch.
+  /// O(deg(v) * k/64 + |result|) — no pin-list traversal. `words` is
+  /// caller scratch, so thread-parallel readers (the k-way proposal phase)
+  /// can share one frozen cache as long as each thread brings its own.
   void candidate_parts_into(std::vector<PartId>& out, VertexId v,
-                            std::vector<std::uint64_t>& scratch) const;
+                            std::vector<std::uint64_t>& words) const;
+
+  /// A k-way move: destination (kNoPart when there is none) and its gain.
+  struct Move {
+    PartId to = kNoPart;
+    Weight gain = 0;
+  };
+
+  /// The k-way move rule shared by kway_refine and the O(delta) epoch
+  /// tier: v's best acceptable move under the current state. A move is
+  /// acceptable if the destination stays within max_w and then its gain
+  /// is > 0, or == 0 with a strict balance improvement, or anything at all
+  /// when v's part is over max_w (restoring Eq. 1 outranks the cut).
+  /// Highest gain wins; ties go to the lighter destination, then the lower
+  /// part id. Every buffer is caller scratch (gain_to must start empty or
+  /// at k zeros, and is left at k zeros), so the method is const and
+  /// thread-safe on a frozen cache.
+  Move best_move(VertexId v, Weight max_w, std::vector<PartId>& candidates,
+                 std::vector<Weight>& gain_to,
+                 std::vector<std::uint64_t>& words) const;
 
   /// Moves v to part `to`, updating every maintained quantity in
   /// O(deg(v)) (+ a sole-pin scan for nets crossing the 1<->2 pin
@@ -184,7 +200,6 @@ class GainCache {
   Borrowed<PartId> part_;           // maintained assignment copy
   Borrowed<Weight> part_w_;         // per-part total vertex weight
   Borrowed<Weight> leave_gain_;     // per-vertex sole-pin gain
-  Borrowed<std::uint64_t> scratch_; // candidate_parts_into OR-accumulator
   Weight cut_ = 0;
 };
 

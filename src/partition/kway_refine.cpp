@@ -1,7 +1,6 @@
 #include "partition/kway_refine.hpp"
 
 #include <cstdio>
-#include <utility>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -17,12 +16,12 @@ namespace hgr {
 // count, so threads=1 and threads=8 walk byte-identical state:
 //
 //   Propose (parallel over vertices): against the frozen pass-start cache
-//   — the const candidate_parts_into overload plus per-thread scratch —
-//   mark every vertex that has an acceptable move. Read-only on shared
+//   — GainCache::best_move with per-thread scratch — mark every vertex
+//   that has an acceptable move. Read-only on shared
 //   state, one flag write per vertex into the chunk the thread owns.
 //
 //   Apply (serial, permutation order): re-evaluate each marked vertex
-//   against the *live* cache with the exact same evaluation routine, and
+//   against the *live* cache with the same GainCache::best_move rule, and
 //   apply the move if it is still acceptable. The permutation is drawn
 //   serially from `rng` per pass, so the stream is consumed identically
 //   at every thread count.
@@ -61,53 +60,6 @@ KwayRefineResult kway_refine(const Hypergraph& h, Partition& p,
   const int num_threads = pool_threads(pool);
   if (ws != nullptr) ws->reserve_threads(num_threads);
 
-  // Best move for v under the cache's *current* state: highest gain among
-  // acceptable moves (positive gain, or zero gain strictly improving
-  // balance), then lightest destination, then lowest part id. Shared by
-  // both phases so the proposal filter and the serial apply agree on what
-  // "acceptable" means. gain_to must be k zeros on entry; it is restored
-  // on exit.
-  const auto best_move = [&](VertexId v, std::vector<PartId>& candidates,
-                             std::vector<Weight>& gain_to,
-                             std::vector<std::uint64_t>& conn_scratch)
-      -> std::pair<PartId, Weight> {
-    // Candidate parts come straight off the connectivity bitsets: the
-    // distinct parts (other than the home part) the vertex's nets touch,
-    // in ascending part order — no pin-list traversal.
-    cache.candidate_parts_into(candidates, v, conn_scratch);
-    if (candidates.empty()) return {kNoPart, 0};
-    const Weight leave_gain = cache.leave_gain(v);
-    for (const NetId net : h.incident_nets(v)) {
-      const Weight c = h.net_cost(net);
-      if (c == 0) continue;
-      for (const PartId q : candidates)
-        if (!cache.net_touches(net, q))
-          gain_to[static_cast<std::size_t>(q.v)] -= c;
-    }
-    // gain(from -> q) = leave_gain + gain_to[q] (gain_to holds the
-    // entering penalty, <= 0).
-    const PartId from = cache.part_of(v);
-    PartId best = kNoPart;
-    Weight best_gain = 0;
-    Weight best_dest_w = 0;
-    const Weight wv = h.vertex_weight(v);
-    for (const PartId q : candidates) {
-      const Weight g = leave_gain + gain_to[static_cast<std::size_t>(q.v)];
-      gain_to[static_cast<std::size_t>(q.v)] = 0;  // reset accumulator
-      const Weight dest_w = cache.part_weight(q);
-      if (dest_w + wv > max_part_weight) continue;
-      const bool improves_balance = cache.part_weight(from) > dest_w + wv;
-      if (g < 0 || (g == 0 && !improves_balance)) continue;
-      if (best == kNoPart || g > best_gain ||
-          (g == best_gain && dest_w < best_dest_w)) {
-        best = q;
-        best_gain = g;
-        best_dest_w = dest_w;
-      }
-    }
-    return {best, best_gain};
-  };
-
   Borrowed<std::uint8_t> proposed_b(ws);
   std::vector<std::uint8_t>& proposed = proposed_b.get();
   std::vector<std::uint64_t> proposals_of(
@@ -117,7 +69,6 @@ KwayRefineResult kway_refine(const Hypergraph& h, Partition& p,
   // Caller-side scratch for the serial apply phase.
   Borrowed<Weight> gain_to_b(ws);
   std::vector<Weight>& gain_to = gain_to_b.get();
-  gain_to.assign(static_cast<std::size_t>(k), 0);
   Borrowed<PartId> candidates_b(ws);
   std::vector<PartId>& candidates = candidates_b.get();
   Borrowed<std::uint64_t> conn_scratch_b(ws);
@@ -125,8 +76,9 @@ KwayRefineResult kway_refine(const Hypergraph& h, Partition& p,
 
   Borrowed<Index> order_b(ws);
   std::vector<Index>& order = order_b.get();
-  // Accepted-move gain distribution (k-way moves are never negative gain,
-  // so this histogram's p50 vs max shows how front-loaded the pass is).
+  // Accepted-move gain distribution (k-way moves are negative only off an
+  // overweight part, so this histogram's p50 vs max shows how front-loaded
+  // the pass is).
   // Batched locally, folded into the registry once per pass.
   static obs::CachedHistogram gain_hist("kway.move_gain");
   obs::HistogramSnapshot gain_batch;
@@ -144,14 +96,13 @@ KwayRefineResult kway_refine(const Hypergraph& h, Partition& p,
       Borrowed<PartId> t_candidates_b(tws);
       Borrowed<Weight> t_gain_to_b(tws);
       Borrowed<std::uint64_t> t_conn_b(tws);
-      t_gain_to_b.get().assign(static_cast<std::size_t>(k), 0);
       std::uint64_t found = 0;
       for (Index vi = begin; vi < end; ++vi) {
         const VertexId v{vi};
         if (h.fixed_part(v) != kNoPart) continue;
-        if (best_move(v, t_candidates_b.get(), t_gain_to_b.get(),
-                      t_conn_b.get())
-                .first == kNoPart)
+        if (cache.best_move(v, max_part_weight, t_candidates_b.get(),
+                            t_gain_to_b.get(), t_conn_b.get())
+                .to == kNoPart)
           continue;
         proposed[static_cast<std::size_t>(vi)] = 1;
         ++found;
@@ -166,12 +117,12 @@ KwayRefineResult kway_refine(const Hypergraph& h, Partition& p,
     for (const Index vi : order) {
       if (proposed[static_cast<std::size_t>(vi)] == 0) continue;
       const VertexId v{vi};
-      const auto [best, best_gain] =
-          best_move(v, candidates, gain_to, conn_scratch);
-      if (best == kNoPart) continue;  // soured since the proposal snapshot
-      gain_batch.record(best_gain);
-      cache.apply_move(v, best);
-      p[v] = best;
+      const GainCache::Move best = cache.best_move(
+          v, max_part_weight, candidates, gain_to, conn_scratch);
+      if (best.to == kNoPart) continue;  // soured since the proposal snapshot
+      gain_batch.record(best.gain);
+      cache.apply_move(v, best.to);
+      p[v] = best.to;
       ++moves_this_pass;
     }
     if (gain_batch.count > 0) {

@@ -28,7 +28,7 @@ TEST(ParRefine, NeverWorsensCutAndRanksAgree) {
   std::vector<ParRefineResult> stats;
   comm.run([&](RankContext& ctx) {
     Partition p = start;
-    const ParRefineResult r = parallel_refine(ctx, h, p, cfg, 99);
+    const ParRefineResult r = parallel_refine(ctx, h, p, cfg);
     std::lock_guard lock(m);
     results.push_back(std::move(p));
     stats.push_back(r);
@@ -57,7 +57,7 @@ TEST(ParRefine, RespectsFixedVertices) {
   Partition result;
   comm.run([&](RankContext& ctx) {
     Partition p = start;
-    parallel_refine(ctx, h, p, cfg, 3);
+    parallel_refine(ctx, h, p, cfg);
     if (ctx.rank() == 0) {
       std::lock_guard lock(m);
       result = std::move(p);
@@ -90,7 +90,7 @@ TEST(ParRefine, AcceptsMoveUpToCeilOfFractionalAverage) {
   ParRefineResult stats;
   comm.run([&](RankContext& ctx) {
     Partition p = start;
-    const ParRefineResult r = parallel_refine(ctx, h, p, cfg, 13);
+    const ParRefineResult r = parallel_refine(ctx, h, p, cfg);
     if (ctx.rank() == 0) {
       std::lock_guard lock(m);
       result = std::move(p);
@@ -128,7 +128,7 @@ TEST(ParRefine, FinalCutMatchesRecomputeOnDenseNets) {
   std::vector<ParRefineResult> stats;
   comm.run([&](RankContext& ctx) {
     Partition p = start;
-    const ParRefineResult r = parallel_refine(ctx, h, p, cfg, 23);
+    const ParRefineResult r = parallel_refine(ctx, h, p, cfg);
     std::lock_guard lock(m);
     results.push_back(std::move(p));
     stats.push_back(r);
@@ -165,7 +165,7 @@ TEST(ParRefine, GainEvalCountIsPerPartNotPerPin) {
   ParRefineResult stats;
   comm.run([&](RankContext& ctx) {
     Partition p = start;
-    const ParRefineResult r = parallel_refine(ctx, h, p, cfg, 29);
+    const ParRefineResult r = parallel_refine(ctx, h, p, cfg);
     if (ctx.rank() == 0) {
       std::lock_guard lock(m);
       stats = r;
@@ -192,7 +192,7 @@ TEST(ParRefine, RespectsBalanceCap) {
   Partition result;
   comm.run([&](RankContext& ctx) {
     Partition p = start;
-    parallel_refine(ctx, h, p, cfg, 17);
+    parallel_refine(ctx, h, p, cfg);
     if (ctx.rank() == 0) {
       std::lock_guard lock(m);
       result = std::move(p);

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -150,6 +151,7 @@ TEST(GainCacheProperty, ManyPartsExerciseMultiWordBitsets) {
   expect_matches_scratch(h, p, cache);
   Rng rng(11);
   std::vector<PartId> candidates;
+  std::vector<std::uint64_t> words;
   for (int step = 0; step < 120; ++step) {
     const VertexId v{static_cast<Index>(rng.below(90))};
     // Brute-force candidate destinations: distinct parts of co-pins.
@@ -157,7 +159,7 @@ TEST(GainCacheProperty, ManyPartsExerciseMultiWordBitsets) {
     for (const NetId net : h.incident_nets(v))
       for (const VertexId u : h.pins(net))
         if (p[u] != p[v]) expected.insert(p[u]);
-    cache.candidate_parts_into(candidates, v);
+    cache.candidate_parts_into(candidates, v, words);
     ASSERT_EQ(std::vector<PartId>(expected.begin(), expected.end()),
               candidates)
         << "step=" << step;
@@ -231,6 +233,59 @@ TEST(GainCache, PartitionConstructorMatchesSpanConstructor) {
   EXPECT_EQ(from_partition.k(), from_span.k());
   for (const PartId q : p.parts())
     EXPECT_EQ(from_partition.part_weight(q), from_span.part_weight(q));
+}
+
+// The k-way move rule on hand-sized cases. Vertex 0 is the mover; vertex
+// weights are 1; vertices without nets only add weight to their part.
+TEST(GainCache, BestMoveRule) {
+  struct Case {
+    const char* what;
+    std::vector<std::pair<std::vector<Index>, Weight>> nets;
+    std::vector<Index> parts;
+    Weight max_w;
+    Index want_to;  // -1 = no acceptable move
+    Weight want_gain;
+  };
+  const std::vector<Case> cases = {
+      {"positive gains tie: lower part id", {{{0, 1}, 1}, {{0, 2}, 1}},
+       {0, 1, 2}, 10, 1, 1},
+      {"positive gains tie: lighter part first", {{{0, 1}, 1}, {{0, 2}, 1}},
+       {0, 1, 2, 1}, 10, 2, 1},
+      {"zero gain, balance not strictly better", {{{0, 1}, 1}, {{0, 2}, 1}},
+       {0, 1, 0}, 10, -1, 0},
+      {"zero gain, balance strictly better", {{{0, 1}, 1}, {{0, 2}, 1}},
+       {0, 1, 0, 0}, 10, 1, 0},
+      {"negative gain off a part within max_w", {{{0, 1}, 2}, {{0, 2}, 3}},
+       {0, 1, 0, 1, 1}, 10, -1, 0},
+      {"negative gain off an overweight part", {{{0, 1}, 2}, {{0, 2}, 3}},
+       {0, 1, 0, 0, 0}, 3, 1, -1},
+      {"destination over max_w", {{{0, 1}, 2}, {{0, 2}, 3}},
+       {0, 1, 0, 0, 0}, 1, -1, 0},
+  };
+  for (const Case& c : cases) {
+    const auto n = static_cast<Index>(c.parts.size());
+    HypergraphBuilder b(n);
+    for (const auto& [pins, cost] : c.nets) b.add_net(pins, cost);
+    const Hypergraph h = b.finalize();
+    Partition p(3, n);
+    for (Index v = 0; v < n; ++v)
+      p[VertexId{v}] = PartId{c.parts[static_cast<std::size_t>(v)]};
+    const GainCache cache(h, p);
+    std::vector<PartId> candidates;
+    std::vector<Weight> gain_to;
+    std::vector<std::uint64_t> words;
+    const GainCache::Move m =
+        cache.best_move(VertexId{0}, c.max_w, candidates, gain_to, words);
+    EXPECT_EQ(m.to, c.want_to < 0 ? kNoPart : PartId{c.want_to}) << c.what;
+    if (m.to != kNoPart) {
+      EXPECT_EQ(m.gain, c.want_gain) << c.what;
+      EXPECT_EQ(m.gain, cache.move_gain(VertexId{0}, m.to)) << c.what;
+    }
+    // gain_to is left at k zeros for the next call.
+    EXPECT_TRUE(std::all_of(gain_to.begin(), gain_to.end(),
+                            [](Weight w) { return w == 0; }))
+        << c.what;
+  }
 }
 
 }  // namespace
