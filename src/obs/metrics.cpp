@@ -33,6 +33,13 @@ void atomic_min(std::atomic<std::int64_t>& cell, std::int64_t v) {
   }
 }
 
+/// Two's-complement wrapping add: the sum the atomic Histogram keeps (its
+/// fetch_add wraps by definition), without signed-overflow UB.
+std::int64_t wrapping_add(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
+                                   static_cast<std::uint64_t>(b));
+}
+
 }  // namespace
 
 int histogram_bucket(std::int64_t value) {
@@ -96,7 +103,7 @@ void HistogramSnapshot::merge(const HistogramSnapshot& other) {
     max = std::max(max, other.max);
   }
   count += other.count;
-  sum += other.sum;
+  sum = wrapping_add(sum, other.sum);
   for (int b = 0; b < kHistogramBuckets; ++b)
     buckets[static_cast<std::size_t>(b)] +=
         other.buckets[static_cast<std::size_t>(b)];
@@ -121,7 +128,7 @@ void HistogramSnapshot::record(std::int64_t value) {
     max = std::max(max, value);
   }
   ++count;
-  sum += value;
+  sum = wrapping_add(sum, value);
 }
 
 void Histogram::record(std::int64_t value) {

@@ -131,6 +131,23 @@ TEST(Histogram, PathologicalExtremesSurviveRecordAndQuantile) {
   EXPECT_LE(s.quantile(1.0), kMax);
 }
 
+// An overflowing sum wraps the same way in the plain snapshot (record and
+// merge) as in the atomic histogram, whose fetch_add wraps by definition.
+TEST(Histogram, SumOverflowWrapsAlikeInSnapshotAndAtomic) {
+  HistogramSnapshot plain;
+  plain.record(kMax);
+  plain.record(kMax);
+  Histogram atomic;
+  atomic.record(kMax);
+  atomic.record(kMax);
+  EXPECT_EQ(plain.sum, atomic.snapshot().sum);
+  EXPECT_EQ(plain.sum, -2);  // 2 * (2^63 - 1) mod 2^64
+  HistogramSnapshot merged = plain;
+  merged.merge(plain);
+  atomic.merge(plain);
+  EXPECT_EQ(merged.sum, atomic.snapshot().sum);
+}
+
 TEST(Histogram, MergeMatchesRecordingIntoOne) {
   Histogram a, b, combined;
   std::mt19937_64 rng(42);

@@ -241,7 +241,8 @@ TEST(ObsTrace, MaxMinSecondsPerMergedScope) {
   {
     obs::TraceScope scope("work", &reg);  // much shorter second call
   }
-  const obs::PhaseSnapshot* work = obs::find_phase(reg.phase_tree(), {"work"});
+  const obs::PhaseSnapshot tree = reg.phase_tree();  // find_phase points into it
+  const obs::PhaseSnapshot* work = obs::find_phase(tree, {"work"});
   ASSERT_NE(work, nullptr);
   EXPECT_EQ(work->calls, 2u);
   EXPECT_GE(work->max_seconds, 0.015);
