@@ -2,10 +2,10 @@
 //
 // Greedy boundary sweeps in the style of k-way FM without rollback: each
 // pass proposes moves in parallel against the frozen pass-start gain
-// cache, then applies the survivors serially in random order (best
-// positive-gain or balance-improving zero-gain move among the parts the
-// vertex's nets touch). Respects fixed vertices and Eq. 1 balance; the
-// result is bit-identical at every thread count (docs/PARALLELISM.md).
+// cache, then applies the survivors serially in random order (the move
+// GainCache::best_move picks among the parts the vertex's nets touch).
+// Respects fixed vertices and Eq. 1 balance; the result is bit-identical
+// at every thread count (docs/PARALLELISM.md).
 // Used as an optional post-pass after recursive bisection, inside
 // V-cycles, and as the refinement stage of the direct k-way method.
 #pragma once
