@@ -8,7 +8,6 @@
 #include "metrics/cost_model.hpp"
 #include "metrics/cut.hpp"
 #include "obs/trace.hpp"
-#include "partition/gain_cache.hpp"
 
 namespace hgr {
 
@@ -53,6 +52,30 @@ EpochDelta EpochDeltaTracker::observe(const Graph& g,
   return delta;
 }
 
+GainCache& IncrementalRepartitioner::resident_cache(const Hypergraph& h,
+                                                   const Partition& old_p,
+                                                   check::CheckLevel level) {
+  const bool reuse = cache_.has_value() && &cache_->hypergraph() == &h &&
+                     cache_structure_ == h.structure_id() &&
+                     cache_->k() == old_p.k;
+  cache_structure_ = 0;
+  if (!reuse) {
+    cache_.emplace(h, old_p.k, old_p.assignment);
+    static obs::CachedCounter builds("incremental.cache_builds");
+    builds += 1;
+    return *cache_;
+  }
+  // Vertex weights may have changed since the last attempt, and old_p is
+  // not the cache's state after a rejected attempt, a full-tier answer or
+  // keep-old: replay the differences.
+  GainCache& cache = *cache_;
+  cache.refresh_part_weights();
+  for (const VertexId v : h.vertices())
+    if (cache.part_of(v) != old_p[v]) cache.apply_move(v, old_p[v]);
+  cache.validate(level);
+  return cache;
+}
+
 IncrementalOutcome IncrementalRepartitioner::try_epoch(
     const Hypergraph& h, const Partition& old_p, const EpochDelta& delta,
     const RepartitionerConfig& cfg) {
@@ -87,7 +110,7 @@ IncrementalOutcome IncrementalRepartitioner::try_epoch(
   attempts += 1;
 
   const Index k = old_p.k;
-  GainCache cache(h, k, old_p.assignment, ws_);
+  GainCache& cache = resident_cache(h, old_p, cfg.partition.check_level);
   const Weight max_pw =
       max_part_weight(h.total_vertex_weight(), k, cfg.partition.epsilon);
 
@@ -162,6 +185,7 @@ IncrementalOutcome IncrementalRepartitioner::try_epoch(
   if (check::paranoid(cfg.partition.check_level))
     HGR_ASSERT_MSG(out.cut == connectivity_cut(h, out.partition),
                    "incremental cut diverged from scratch recomputation");
+  cache_structure_ = h.structure_id();  // consistent again: reusable
 
   bool over = false;
   for (const PartId q : part_range(k))

@@ -12,8 +12,15 @@
 // partition, plus residual imbalance — stays inside the PartitionConfig
 // thresholds. Anything else escalates to the full V-cycle, which also
 // refreshes the drift baseline.
+//
+// The GainCache is resident: it survives across attempts and is synced to
+// each attempt's old partition by replaying the differing vertices, so an
+// attempt on an unchanged structure costs O(delta neighbourhood + n)
+// instead of the O(pins + nets * k) of a fresh build.
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -22,6 +29,7 @@
 #include "hypergraph/graph.hpp"
 #include "hypergraph/hypergraph.hpp"
 #include "metrics/partition.hpp"
+#include "partition/gain_cache.hpp"
 
 namespace hgr {
 
@@ -92,15 +100,29 @@ class IncrementalRepartitioner {
   Weight baseline_cut() const { return baseline_cut_; }
 
   /// Attempts the O(delta) repair of `old_p` for the epoch hypergraph `h`.
-  /// Pure with respect to the baseline: only note_full() moves it.
+  /// Pure with respect to the baseline: only note_full() moves it. The
+  /// outcome equals a fresh IncrementalRepartitioner's with the same
+  /// baseline, whatever earlier attempts left in the resident cache.
   IncrementalOutcome try_epoch(const Hypergraph& h, const Partition& old_p,
                                const EpochDelta& delta,
                                const RepartitionerConfig& cfg);
 
  private:
+  /// The resident cache, synced to (h, old_p). Reused when it was built on
+  /// this very hypergraph object with this structure_id() and k: part
+  /// weights are recomputed and every vertex whose cached part differs
+  /// from old_p is replayed through apply_move. Rebuilt otherwise.
+  GainCache& resident_cache(const Hypergraph& h, const Partition& old_p,
+                            check::CheckLevel level);
+
   Workspace* ws_;
   Weight baseline_cut_ = 0;
   bool have_baseline_ = false;
+  // Owns its storage (null Workspace), so it never pins arena vectors.
+  std::optional<GainCache> cache_;
+  // structure_id() the cache describes; 0 (never a real stamp) while an
+  // attempt is mutating it, so an exception part-way forces a rebuild.
+  std::uint64_t cache_structure_ = 0;
 };
 
 }  // namespace hgr

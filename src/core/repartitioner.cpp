@@ -10,6 +10,7 @@
 #include "core/incremental_repart.hpp"
 #include "core/repartition_model.hpp"
 #include "graphpart/scratch_remap.hpp"
+#include "metrics/migration.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/events.hpp"
 #include "obs/trace.hpp"
@@ -324,8 +325,13 @@ GuardedRepartitionResult run_tiered_repartition(
     if (fast.accepted) {
       GuardedRepartitionResult out;
       out.tier = RepartTier::kIncremental;
-      out.result.cost =
-          evaluate_repartition(h, old_p, fast.partition, cfg.alpha);
+      // The fast path's cut is maintained by the gain cache (try_epoch
+      // checks it against connectivity_cut at paranoid): only the
+      // migration volume needs a pass, and that one is O(n), not O(pins).
+      out.result.cost.alpha = cfg.alpha;
+      out.result.cost.comm_volume = fast.cut;
+      out.result.cost.migration_volume =
+          migration_volume(h.vertex_sizes(), old_p, fast.partition);
       out.result.plan =
           extract_migration_plan(h.vertex_sizes(), old_p, fast.partition);
       out.result.partition = std::move(fast.partition);

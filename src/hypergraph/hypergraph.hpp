@@ -13,6 +13,7 @@
 // vertices by VertexId; counts and CSR offsets are plain Index.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -25,7 +26,10 @@ namespace hgr {
 class Hypergraph {
  public:
   /// Empty hypergraph (0 vertices, 0 nets) with well-formed CSR arrays.
-  Hypergraph() : net_offsets_{0}, vertex_offsets_{0} {}
+  Hypergraph()
+      : net_offsets_{0},
+        vertex_offsets_{0},
+        structure_id_(next_structure_id()) {}
 
   /// Takes ownership of fully-formed CSR arrays. net_offsets has
   /// num_nets+1 entries indexing into pins; weights/sizes have one entry
@@ -85,6 +89,13 @@ class Hypergraph {
 
   Weight total_vertex_weight() const { return total_vertex_weight_; }
 
+  /// Process-unique stamp of the pins and net costs. Every constructor and
+  /// scale_net_costs() take a fresh one; copies share it; weight, size and
+  /// fixed-label edits keep it. Two hypergraphs with equal stamps have
+  /// identical pin lists and net costs, which is what lets a resident
+  /// GainCache (core/incremental_repart) outlive a single epoch.
+  std::uint64_t structure_id() const { return structure_id_; }
+
   /// Fixed-vertex constraints. has_fixed() is false iff every vertex is free.
   bool has_fixed() const { return !fixed_.empty(); }
   PartId fixed_part(VertexId v) const {
@@ -104,7 +115,7 @@ class Hypergraph {
   void set_vertex_size(VertexId v, Weight s);
 
   /// Multiply every net cost by factor (the alpha-scaling of the
-  /// repartitioning model). factor must be >= 1.
+  /// repartitioning model). factor must be >= 1. Takes a new structure_id().
   void scale_net_costs(Weight factor);
 
   /// Abort with a diagnostic if any structural invariant is violated:
@@ -118,6 +129,7 @@ class Hypergraph {
 
  private:
   void build_transpose();
+  static std::uint64_t next_structure_id();
 
   Index num_vertices_ = 0;
   Index num_nets_ = 0;
@@ -130,6 +142,7 @@ class Hypergraph {
   std::vector<Weight> net_cost_;
   std::vector<PartId> fixed_;           // empty or one entry per vertex
   Weight total_vertex_weight_ = 0;
+  std::uint64_t structure_id_;
 };
 
 }  // namespace hgr

@@ -151,6 +151,7 @@ void Comm::run(const std::function<void(RankContext&)>& f) {
       slot.bytes = 0;
       slot.counts.clear();
       slot.displs.clear();
+      slot.call = kNoCall;
     }
   for (RankEpoch& epoch : collective_epochs_) epoch.value = 0;
   barrier_arrived_ = 0;
@@ -429,6 +430,12 @@ void RankContext::record_collective_seconds(CollectiveKind kind,
 }
 
 void RankContext::barrier() {
+  const int parity = begin_collective(CollectiveKind::kBarrier);
+  counted_fence();
+  check_congruent(parity);
+}
+
+void RankContext::counted_fence() {
   faultpoint(fault::FaultSite::kBarrier);
   CollectiveTimer lat(*this, CollectiveKind::kBarrier);
   record_collective(CollectiveKind::kBarrier, 0);
@@ -436,12 +443,39 @@ void RankContext::barrier() {
   comm_.barrier_wait(rank_);
 }
 
-int RankContext::begin_collective() {
+int RankContext::begin_collective(CollectiveKind kind, int root) {
   std::uint64_t& epoch =
       comm_.collective_epochs_[static_cast<std::size_t>(rank_)].value;
   const int parity = static_cast<int>(epoch & 1U);
+  Comm::CollectiveSlot& slot = comm_.slots_[static_cast<std::size_t>(parity)]
+                                           [static_cast<std::size_t>(rank_)];
+  slot.call = epoch;
+  slot.kind = kind;
+  slot.root = root;
   ++epoch;
   return parity;
+}
+
+void RankContext::check_congruent(int parity) const {
+  const auto& slots = comm_.slots_[static_cast<std::size_t>(parity)];
+  const auto describe = [&](int r) {
+    const Comm::CollectiveSlot& slot = slots[static_cast<std::size_t>(r)];
+    std::string out = "rank " + std::to_string(r);
+    if (slot.call == Comm::kNoCall) return out + " entered no collective";
+    out += " entered ";
+    out += collective_kind_name(slot.kind);
+    if (slot.kind == CollectiveKind::kBcast)
+      out += "(root " + std::to_string(slot.root) + ")";
+    return out + " as call #" + std::to_string(slot.call);
+  };
+  const Comm::CollectiveSlot& mine = slots[static_cast<std::size_t>(rank_)];
+  for (int r = 0; r < size(); ++r) {
+    const Comm::CollectiveSlot& peer = slots[static_cast<std::size_t>(r)];
+    if (peer.call != mine.call || peer.kind != mine.kind ||
+        peer.root != mine.root)
+      throw CollectiveMismatch("collective mismatch: " + describe(rank_) +
+                               ", but " + describe(r));
+  }
 }
 
 void RankContext::publish_window(int parity, const void* data,
@@ -503,6 +537,9 @@ std::byte* RankContext::reduce_slot(int parity, int r, std::size_t bytes) {
       .bytes;
 }
 
-void RankContext::collective_fence() { comm_.barrier_wait(rank_); }
+void RankContext::collective_fence(int parity) {
+  comm_.barrier_wait(rank_);
+  check_congruent(parity);
+}
 
 }  // namespace hgr

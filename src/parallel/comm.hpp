@@ -28,7 +28,9 @@
 // communicator — every rank blocked in a collective is woken with
 // CommAborted, all threads are joined, and Comm::run rethrows the
 // lowest-rank original exception to the caller. The communicator stays
-// reusable afterwards.
+// reusable afterwards. Ranks that enter different collectives (kind, call
+// number or bcast root) at the same fence all throw CollectiveMismatch
+// before reading any payload.
 //
 // Deadlock watchdog: every blocking point (the barrier every collective is
 // built on, and an injected stall) publishes per-rank "waiting on what"
@@ -99,6 +101,15 @@ class CommDeadlock : public std::runtime_error {
       : std::runtime_error(diagnosis) {}
 };
 
+/// Thrown on every rank whose peers entered a different collective (kind,
+/// call number or bcast root) at the same fence. what() names both ranks'
+/// collectives; Comm::run rethrows the lowest rank's.
+class CollectiveMismatch : public std::runtime_error {
+ public:
+  explicit CollectiveMismatch(const std::string& what)
+      : std::runtime_error(what) {}
+};
+
 /// Handle a rank uses inside Comm::run. All operations are blocking and
 /// must be called congruently across ranks (like MPI collectives).
 class RankContext {
@@ -138,9 +149,9 @@ class RankContext {
     // ranks (same accounting as the pre-flat slot exchange).
     account(mine_bytes * static_cast<std::size_t>(size() - 1), 0);
     bump_collectives();
-    const int parity = begin_collective();
+    const int parity = begin_collective(CollectiveKind::kAllgather);
     publish_window(parity, mine.data(), mine_bytes, nullptr, nullptr);
-    collective_fence();
+    collective_fence(parity);
     FlatBuffer<T> incoming(size(), &pool());
     for (int s = 0; s < size(); ++s)
       incoming.count(s) = window_bytes(parity, s) / sizeof(T);
@@ -164,9 +175,9 @@ class RankContext {
                       sizeof(T) * static_cast<std::size_t>(size() - 1));
     account(sizeof(T) * static_cast<std::size_t>(size() - 1), 0);
     bump_collectives();
-    const int parity = begin_collective();
+    const int parity = begin_collective(CollectiveKind::kAllreduce);
     std::memcpy(reduce_slot(parity, rank_, sizeof(T)), &value, sizeof(T));
-    collective_fence();
+    collective_fence(parity);
     T acc;
     std::memcpy(&acc, reduce_slot(parity, 0, sizeof(T)), sizeof(T));
     for (int r = 1; r < size(); ++r) {
@@ -208,11 +219,12 @@ class RankContext {
     // One message per off-rank destination, empty slices included.
     for (int d = 0; d < size(); ++d)
       if (d != rank_) account_p2p_send(d, outgoing.size(d) * sizeof(T));
-    const int parity = begin_collective();
+    const int parity = begin_collective(CollectiveKind::kAlltoallv);
     publish_window(parity, outgoing.all().data(),
                    outgoing.total() * sizeof(T), outgoing.counts_data(),
                    outgoing.displs_data());
-    barrier();  // the one (counted) fence
+    counted_fence();  // the one fence, counted as a barrier
+    check_congruent(parity);
     FlatBuffer<T> incoming(size(), &pool());
     for (int s = 0; s < size(); ++s)
       incoming.count(s) = window_count(parity, s, rank_);
@@ -243,11 +255,11 @@ class RankContext {
     record_collective(CollectiveKind::kBcast, root_bytes);
     account(root_bytes, 0);
     bump_collectives();
-    const int parity = begin_collective();
+    const int parity = begin_collective(CollectiveKind::kBcast, root);
     if (rank_ == root)
       publish_window(parity, mine.data(), mine.size() * sizeof(T), nullptr,
                      nullptr);
-    collective_fence();
+    collective_fence(parity);
     const std::size_t bytes = window_bytes(parity, root);
     HGR_ASSERT(bytes % sizeof(T) == 0);
     std::vector<T> out(bytes / sizeof(T));
@@ -309,11 +321,15 @@ class RankContext {
   void bump_collectives();
 
   // Double-buffered exchange window (owned by Comm, fenced by barriers).
-  // begin_collective() returns this collective's window parity and bumps
-  // the rank's epoch; exactly one barrier_wait must follow each publish
-  // (the parity invariant that lets one barrier double as the previous
-  // collective's drain fence).
-  int begin_collective();
+  // begin_collective() returns this collective's window parity, stamps
+  // the rank's slot with (call number, kind, bcast root) and bumps the
+  // rank's epoch; exactly one barrier_wait must follow each publish (the
+  // parity invariant that lets one barrier double as the previous
+  // collective's drain fence). Barriers take a call number too.
+  int begin_collective(CollectiveKind kind, int root = -1);
+  /// After the fence: throw CollectiveMismatch unless every rank stamped
+  /// this parity with the same call as this rank.
+  void check_congruent(int parity) const;
   void publish_window(int parity, const void* data, std::size_t bytes,
                       const std::size_t* counts, const std::size_t* displs);
   const void* window_data(int parity, int r) const;
@@ -321,8 +337,12 @@ class RankContext {
   std::size_t window_count(int parity, int r, int slot) const;
   std::size_t window_displ(int parity, int r, int slot) const;
   std::byte* reduce_slot(int parity, int r, std::size_t bytes);
-  /// Uncounted barrier separating a collective's publishes from its reads.
-  void collective_fence();
+  /// Uncounted barrier separating a collective's publishes from its reads,
+  /// followed by the congruence check.
+  void collective_fence(int parity);
+  /// The barrier's counted body (fault point, telemetry, wait) without its
+  /// call stamp: barrier() and alltoallv's fence.
+  void counted_fence();
 
   Comm& comm_;
   int rank_;
@@ -404,7 +424,12 @@ class Comm {
     std::size_t bytes = 0;
     std::vector<std::size_t> counts;
     std::vector<std::size_t> displs;
+    // The call this rank entered on this parity (check_congruent).
+    std::uint64_t call = kNoCall;
+    CollectiveKind kind = CollectiveKind::kBarrier;
+    int root = -1;  // bcast only
   };
+  static constexpr std::uint64_t kNoCall = ~std::uint64_t{0};
 
   /// Fixed-size per-rank allreduce slot; 64 bytes covers every wire type
   /// the partitioner reduces (asserted per call site).
@@ -507,8 +532,9 @@ class Comm {
   // only reaches after finishing its epoch-e reads of parity P.
   std::array<std::vector<CollectiveSlot>, 2> slots_;
   std::array<std::vector<ReduceSlot>, 2> reduce_slots_;
-  // Per-rank collective epoch (parity selector). Each entry is written
-  // only by its own rank's thread; congruent collectives keep them equal.
+  // Per-rank collective epoch (parity selector and call number). Each
+  // entry is written only by its own rank's thread; congruent collectives
+  // keep them equal, and check_congruent() verifies that they do.
   struct alignas(64) RankEpoch {
     std::uint64_t value = 0;
   };

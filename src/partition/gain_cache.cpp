@@ -26,14 +26,8 @@ GainCache::GainCache(const Hypergraph& h, Index k,
   counts_->assign(nn * static_cast<std::size_t>(k), 0);
   conn_->assign(nn * words_per_row_, 0);
   part_->assign(parts.begin(), parts.end());
-  part_w_->assign(static_cast<std::size_t>(k), 0);
   leave_gain_->assign(n, 0);
-
-  for (const VertexId v : h.vertices()) {
-    const PartId q = part_of(v);
-    HGR_ASSERT_MSG(q.v >= 0 && q.v < k, "gain cache built on unassigned vertex");
-    part_w_[static_cast<std::size_t>(q.v)] += h.vertex_weight(v);
-  }
+  refresh_part_weights();
   cut_ = 0;
   for (const NetId net : h.nets()) {
     const Weight c = h.net_cost(net);
@@ -55,6 +49,16 @@ GainCache::GainCache(const Hypergraph& h, Index k,
   }
   static obs::CachedCounter builds("gain_cache.builds");
   builds += 1;
+}
+
+void GainCache::refresh_part_weights() {
+  part_w_->assign(static_cast<std::size_t>(k_), 0);
+  for (const VertexId v : h_.vertices()) {
+    const PartId q = part_of(v);
+    HGR_ASSERT_MSG(q.v >= 0 && q.v < k_,
+                   "gain cache built on unassigned vertex");
+    part_w_[static_cast<std::size_t>(q.v)] += h_.vertex_weight(v);
+  }
 }
 
 void GainCache::candidate_parts_into(std::vector<PartId>& out, VertexId v,

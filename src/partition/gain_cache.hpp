@@ -52,6 +52,7 @@ class GainCache {
   GainCache(const Hypergraph& h, const Partition& p, Workspace* ws = nullptr)
       : GainCache(h, p.k, p.assignment, ws) {}
 
+  const Hypergraph& hypergraph() const { return h_; }
   Index k() const { return k_; }
   Weight cut() const { return cut_; }
   PartId part_of(VertexId v) const {
@@ -163,6 +164,11 @@ class GainCache {
     NullMoveListener null;
     apply_move(v, to, null);
   }
+
+  /// Recomputes every part weight from the hypergraph's current vertex
+  /// weights in O(n). Pin counts, the cut and leave gains do not depend on
+  /// vertex weights, so this is the whole resync after weight-only edits.
+  void refresh_part_weights();
 
   /// Cross-checks cut, pin counts, connectivity bits, leave gains and part
   /// weights against a from-scratch recomputation. No-op below paranoid.

@@ -82,8 +82,10 @@ struct Server::Runtime {
 };
 
 /// Per-graph warm state, owned by the worker thread. The
-/// IncrementalRepartitioner carries the gain-cache fast path and its drift
-/// baseline; `h`/`p` are the live hypergraph and its current partition.
+/// IncrementalRepartitioner carries the resident gain cache of the fast
+/// path and its drift baseline; `h`/`p` are the live hypergraph and its
+/// current partition. DELTA edits `h` in place, so the cache built on it
+/// stays valid across requests (docs/INCREMENTAL.md, "Resident cache").
 struct Server::GraphState {
   explicit GraphState(Workspace* ws) : inc(ws) {}
   Hypergraph h;
@@ -453,18 +455,19 @@ RepartitionerConfig Server::make_repart_config(const GraphState& gs) {
 EpochDelta Server::apply_delta_batch(
     GraphState& gs, const std::vector<PendingRequest>& batch) {
   // Compose every update in arrival order (last write per vertex wins),
-  // then seed the epoch delta with the union of touched vertices. Every
-  // vertex is in range: execute_batch validated the run.
-  IdVector<VertexId, bool> changed(gs.h.num_vertices(), false);
+  // then seed the epoch delta with the union of touched vertices, in
+  // ascending order. O(updates log updates): no pass over all n vertices.
+  // Every vertex is in range: execute_batch validated the run.
+  EpochDelta delta;
   for (const PendingRequest& pr : batch) {
     for (const WeightUpdate& u : pr.req.updates) {
       gs.h.set_vertex_weight(u.v, u.w);
-      changed[u.v] = true;
+      delta.changed.push_back(u.v);
     }
   }
-  EpochDelta delta;
-  for (const VertexId v : gs.h.vertices())
-    if (changed[v]) delta.changed.push_back(v);
+  std::sort(delta.changed.begin(), delta.changed.end());
+  delta.changed.erase(std::unique(delta.changed.begin(), delta.changed.end()),
+                      delta.changed.end());
   delta.removed = 0;
   delta.prev_vertices = gs.h.num_vertices();
   delta.known = true;

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "core/epoch_driver.hpp"
@@ -50,6 +51,59 @@ Partition round_robin(const Hypergraph& h, Index k) {
   Partition p(k, h.num_vertices());
   for (Index v = 0; v < h.num_vertices(); ++v) p[VertexId{v}] = PartId{v % k};
   return p;
+}
+
+/// Sets `count` random vertices of h to a random weight in [1, max_w] and
+/// returns the matching known delta (ascending, duplicates removed).
+EpochDelta perturb_weights(Hypergraph& h, Rng& rng, Index count,
+                           Weight max_w) {
+  EpochDelta delta;
+  for (Index i = 0; i < count; ++i) {
+    const VertexId v{static_cast<Index>(
+        rng.below(static_cast<std::uint64_t>(h.num_vertices())))};
+    h.set_vertex_weight(v, 1 + static_cast<Weight>(rng.below(
+                                   static_cast<std::uint64_t>(max_w))));
+    delta.changed.push_back(v);
+  }
+  std::sort(delta.changed.begin(), delta.changed.end());
+  delta.changed.erase(std::unique(delta.changed.begin(), delta.changed.end()),
+                      delta.changed.end());
+  delta.known = true;
+  delta.prev_vertices = h.num_vertices();
+  return delta;
+}
+
+/// What an IncrementalRepartitioner with no history answers.
+IncrementalOutcome fresh_attempt(const Hypergraph& h, const Partition& old_p,
+                                 const EpochDelta& delta,
+                                 const RepartitionerConfig& cfg,
+                                 Weight baseline) {
+  IncrementalRepartitioner fresh;
+  fresh.note_full(baseline);
+  return fresh.try_epoch(h, old_p, delta, cfg);
+}
+
+void expect_same_outcome(const IncrementalOutcome& got,
+                         const IncrementalOutcome& want,
+                         const std::string& where) {
+  SCOPED_TRACE(where);
+  EXPECT_EQ(got.partition.assignment, want.partition.assignment);
+  EXPECT_EQ(got.cut, want.cut);
+  EXPECT_EQ(got.moves, want.moves);
+  EXPECT_EQ(got.attempted, want.attempted);
+  EXPECT_EQ(got.accepted, want.accepted);
+  EXPECT_EQ(got.reason, want.reason);
+  EXPECT_DOUBLE_EQ(got.imbalance, want.imbalance);
+  EXPECT_DOUBLE_EQ(got.drift, want.drift);
+}
+
+/// Runs `attempt` and returns how much it raised counter `name`.
+template <typename F>
+std::uint64_t counter_rise(const obs::Registry& reg, const char* name,
+                           F&& attempt) {
+  const std::uint64_t before = reg.counter_value(name);
+  attempt();
+  return reg.counter_value(name) - before;
 }
 
 TEST(EpochDeltaTracker, FirstEpochIsUnknownThenDiffsWeightAndPresence) {
@@ -188,6 +242,141 @@ TEST(IncrementalRepart, UnfixableImbalanceEscalates) {
   EXPECT_FALSE(out.accepted);
   EXPECT_EQ(out.reason, "imbalance");
   EXPECT_EQ(out.partition[VertexId{0}], PartId{0});  // fixed vertex untouched
+}
+
+TEST(IncrementalResidentCache, WeightDeltasReuseOneCacheAndMatchFresh) {
+  obs::Registry reg;
+  obs::ScopedRegistry scope(reg);
+  Hypergraph h = random_hypergraph(300, 600, 5, 3, 41);
+  Partition p = round_robin(h, 4);
+  RepartitionerConfig cfg = inc_cfg(4, IncrementalMode::kAuto);
+  cfg.partition.epsilon = 0.1;
+  const Weight baseline = connectivity_cut(h, p);
+  IncrementalRepartitioner resident;
+  resident.note_full(baseline);
+
+  Rng rng(5);
+  std::uint64_t builds = 0;
+  int accepted = 0;
+  for (int step = 0; step < 6; ++step) {
+    const EpochDelta delta = perturb_weights(h, rng, 4, 6);
+    IncrementalOutcome got;
+    const std::uint64_t validations =
+        counter_rise(reg, "gain_cache.validations", [&] {
+          builds += counter_rise(reg, "incremental.cache_builds", [&] {
+            got = resident.try_epoch(h, p, delta, cfg);
+          });
+        });
+    // A reused cache is validated after its sync and after the attempt.
+    EXPECT_EQ(validations, step == 0 ? 1u : 2u) << "step " << step;
+    expect_same_outcome(got, fresh_attempt(h, p, delta, cfg, baseline),
+                        "step " + std::to_string(step));
+    if (got.accepted) {
+      p = got.partition;
+      ++accepted;
+    }
+  }
+  EXPECT_EQ(builds, 1u);
+  EXPECT_GE(accepted, 3);
+}
+
+TEST(IncrementalResidentCache, RejectedAttemptsAndForeignOldPartitionsSync) {
+  obs::Registry reg;
+  obs::ScopedRegistry scope(reg);
+  Hypergraph h = random_unit_hypergraph(200, 400, 43);
+  Partition p = round_robin(h, 4);
+  RepartitionerConfig cfg = inc_cfg(4, IncrementalMode::kAuto);
+  cfg.partition.epsilon = 0.1;
+  Weight baseline = connectivity_cut(h, p);
+  IncrementalRepartitioner resident;
+  resident.note_full(baseline);
+  EpochDelta one;
+  one.known = true;
+  one.changed = {VertexId{0}};
+  one.prev_vertices = h.num_vertices();
+
+  std::uint64_t builds = 0;
+  const auto step = [&](const RepartitionerConfig& c, const EpochDelta& d,
+                        const std::string& where) {
+    IncrementalOutcome got;
+    builds += counter_rise(reg, "incremental.cache_builds",
+                           [&] { got = resident.try_epoch(h, p, d, c); });
+    expect_same_outcome(got, fresh_attempt(h, p, d, c, baseline), where);
+    return got;
+  };
+  {
+    // Drift rejection after repairing every vertex: the cache is left
+    // holding moves the caller never adopted.
+    RepartitionerConfig drift = inc_cfg(4, IncrementalMode::kOn);
+    drift.partition.epsilon = 0.1;
+    drift.partition.incremental_max_drift = -2.0;
+    const IncrementalOutcome rejected = step(drift, EpochDelta{}, "drift");
+    EXPECT_EQ(rejected.reason, "drift");
+    EXPECT_GT(rejected.moves, 0);
+    step(cfg, one, "after drift");
+
+    // Imbalance rejection: vertex 0 alone outweighs a part's bound, so
+    // shedding its partners cannot restore Eq. 1.
+    h.set_vertex_weight(VertexId{0}, 200);
+    const IncrementalOutcome heavy = step(cfg, one, "imbalance");
+    EXPECT_EQ(heavy.reason, "imbalance");
+    EXPECT_GT(heavy.moves, 0);
+    h.set_vertex_weight(VertexId{0}, 1);
+    step(cfg, one, "after imbalance");
+
+    // The caller answers from the full tier instead: a different old_p.
+    RepartitionerConfig full_cfg = cfg;
+    full_cfg.partition.check_level = check::CheckLevel::kOff;
+    const RepartitionResult full = hypergraph_repartition(h, p, full_cfg);
+    p = full.partition;
+    baseline = full.cost.comm_volume;
+    resident.note_full(baseline);
+    step(cfg, one, "after full tier");
+  }
+  EXPECT_EQ(builds, 1u);
+}
+
+TEST(IncrementalResidentCache, NewStructureOrObjectForcesRebuild) {
+  obs::Registry reg;
+  obs::ScopedRegistry scope(reg);
+  Hypergraph h = random_hypergraph(150, 300, 4, 3, 47);
+  const Partition p = round_robin(h, 4);
+  const RepartitionerConfig cfg = inc_cfg(4, IncrementalMode::kOn);
+  const Weight baseline = connectivity_cut(h, p);
+  IncrementalRepartitioner resident;
+  resident.note_full(baseline);
+  EpochDelta delta;
+  delta.known = true;
+  delta.changed = {VertexId{1}};
+  delta.prev_vertices = h.num_vertices();
+
+  const auto builds_for = [&](const Hypergraph& g, const std::string& where) {
+    IncrementalOutcome got;
+    const std::uint64_t builds =
+        counter_rise(reg, "incremental.cache_builds",
+                     [&] { got = resident.try_epoch(g, p, delta, cfg); });
+    expect_same_outcome(got, fresh_attempt(g, p, delta, cfg, baseline),
+                        where);
+    return builds;
+  };
+  EXPECT_EQ(builds_for(h, "first"), 1u);
+  EXPECT_EQ(builds_for(h, "reuse"), 0u);
+
+  const std::uint64_t before = h.structure_id();
+  h.scale_net_costs(2);
+  EXPECT_NE(h.structure_id(), before);
+  EXPECT_EQ(builds_for(h, "scaled costs"), 1u);
+
+  const Hypergraph copy = h;  // same stamp, another address
+  EXPECT_EQ(copy.structure_id(), h.structure_id());
+  EXPECT_EQ(builds_for(copy, "copy"), 1u);
+
+  const Hypergraph other = random_hypergraph(150, 300, 4, 3, 53);
+  EXPECT_EQ(builds_for(other, "other object"), 1u);
+
+  h = random_hypergraph(150, 300, 4, 3, 47);  // same address, new object
+  EXPECT_EQ(builds_for(h, "reassigned"), 1u);
+  EXPECT_EQ(builds_for(h, "reuse again"), 0u);
 }
 
 TEST(TieredRepartition, AcceptedFastPathIsRecordedAsIncrementalTier) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <stdexcept>
 #include <string>
 
@@ -187,6 +188,74 @@ TEST(Comm, LowestRankExceptionWins) {
     FAIL() << "run() should have rethrown";
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "rank 0");
+  }
+}
+
+// Ranks that enter different collectives at the same fence are diagnosed
+// on every rank before any payload is read: no garbage result, no hang.
+TEST(Comm, MismatchedCollectivesAreDiagnosed) {
+  using Call = std::function<void(RankContext&)>;
+  const Call bcast_root0 = [](RankContext& ctx) {
+    ctx.bcast(std::vector<std::int32_t>{1, 2, 3}, 0);
+  };
+  const Call bcast_root1 = [](RankContext& ctx) {
+    ctx.bcast(std::vector<std::int32_t>{1, 2, 3}, 1);
+  };
+  const Call allreduce = [](RankContext& ctx) {
+    ctx.allreduce_sum<std::int64_t>(5);
+  };
+  const Call allgatherv = [](RankContext& ctx) {
+    const std::vector<std::int32_t> mine = {ctx.rank()};
+    ctx.allgatherv(std::span<const std::int32_t>(mine));
+  };
+  const Call alltoallv = [](RankContext& ctx) {
+    FlatBuffer<std::int32_t> outgoing = ctx.make_buffer<std::int32_t>();
+    for (int d = 0; d < ctx.size(); ++d) outgoing.count(d) = 1;
+    outgoing.commit_counts();
+    for (int d = 0; d < ctx.size(); ++d) outgoing.push(d, ctx.rank());
+    ctx.alltoallv(outgoing);
+  };
+  const Call barrier = [](RankContext& ctx) { ctx.barrier(); };
+  struct Case {
+    Call rest;   // what ranks 0..p-2 call
+    Call last;   // what rank p-1 calls
+    const char* rest_name;
+    const char* last_name;
+  };
+  const std::vector<Case> cases = {
+      {bcast_root0, allreduce, "bcast(root 0)", "allreduce"},
+      {allgatherv, alltoallv, "allgather", "alltoallv"},
+      {barrier, allreduce, "barrier", "allreduce"},
+      {bcast_root0, bcast_root1, "bcast(root 0)", "bcast(root 1)"},
+  };
+  for (const int ranks : {2, 3}) {
+    for (const Case& c : cases) {
+      Comm comm(ranks);
+      comm.set_deadlock_timeout(10.0);
+      try {
+        comm.run([&](RankContext& ctx) {
+          ctx.allreduce_sum<std::int32_t>(1);  // a congruent call first
+          (ctx.rank() == ranks - 1 ? c.last : c.rest)(ctx);
+        });
+        ADD_FAILURE() << ranks << " ranks, " << c.rest_name << " vs "
+                      << c.last_name << ": run() should have thrown";
+      } catch (const CollectiveMismatch& e) {
+        // Rank 0's diagnosis is rethrown; it names both collectives.
+        const std::string what = e.what();
+        EXPECT_NE(what.find(std::string("rank 0 entered ") + c.rest_name +
+                            " as call #1"),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find("rank " + std::to_string(ranks - 1) +
+                            " entered " + c.last_name + " as call #1"),
+                  std::string::npos)
+            << what;
+      }
+      // The communicator stays usable after a diagnosed mismatch.
+      comm.run([&](RankContext& ctx) {
+        EXPECT_EQ(ctx.allreduce_sum<std::int32_t>(1), ranks);
+      });
+    }
   }
 }
 

@@ -19,12 +19,16 @@
 #include <sstream>
 #include <string>
 #include <thread>  // hgr-lint: thread-ok (polling sleeps in tests)
+#include <utility>
 #include <vector>
 
+#include "core/incremental_repart.hpp"
 #include "hypergraph/convert.hpp"
 #include "hypergraph/io.hpp"
+#include "metrics/cut.hpp"
 #include "obs/stats_stream.hpp"
 #include "obs/trace.hpp"
+#include "partition/partitioner.hpp"
 #include "workload/generators.hpp"
 
 namespace hgr::serve {
@@ -155,6 +159,65 @@ std::string reply_tail(const ReplyLog& log, std::uint64_t id) {
   for (const std::string& line : log.snapshot())
     if (line.rfind(prefix, 0) == 0) return line.substr(prefix.size());
   return "";
+}
+
+// The resident gain cache changes no answer: DELTA batches that are not
+// coalesced reply with the cut=/mig= of a replay that rebuilds the cache
+// for every request (a fresh IncrementalRepartitioner each time). The
+// second DELTA escalates to the full tier, so the third must sync the
+// cache to a partition it never produced.
+TEST(ServeServer, SeparateDeltaBatchesMatchARebuildingReplay) {
+  obs::Registry reg;
+  obs::ScopedRegistry scope(reg);
+  ReplyLog log;
+  const ServeConfig cfg = serial_cfg();
+  Server server(cfg, log_into(log));
+  const std::string path = grid_hgr_path("serve_resident");
+  server.submit("LOAD g " + path + " k=4");
+  server.drain();
+  const std::vector<std::pair<Index, Weight>> updates = {
+      {0, 4}, {40, 5}, {20, 4}, {50, 4}};
+  std::vector<std::uint64_t> ids;
+  for (const auto& [v, w] : updates) {
+    ids.push_back(server.submit("DELTA g " + std::to_string(v) + ":" +
+                                std::to_string(w)));
+    server.drain();  // one batch per DELTA
+  }
+  EXPECT_EQ(reg.counter_value("incremental.attempts"), updates.size());
+  EXPECT_EQ(reg.counter_value("incremental.cache_builds"), 1u);
+  EXPECT_EQ(reg.counter_value("epoch.escalations"), 1u);
+
+  RepartitionerConfig rcfg;
+  rcfg.partition.num_parts = 4;
+  rcfg.partition.epsilon = cfg.default_epsilon;
+  rcfg.partition.seed = cfg.seed;
+  rcfg.partition.incremental = cfg.incremental;
+  rcfg.alpha = cfg.default_alpha;
+  Hypergraph h = read_hmetis_file(path);
+  Partition p = partition_hypergraph(h, rcfg.partition);
+  Weight baseline = connectivity_cut(h, p);
+  for (std::size_t i = 0; i < updates.size(); ++i) {
+    const VertexId v{updates[i].first};
+    h.set_vertex_weight(v, updates[i].second);
+    EpochDelta delta;
+    delta.changed = {v};
+    delta.prev_vertices = h.num_vertices();
+    delta.known = true;
+    IncrementalRepartitioner fresh;
+    fresh.note_full(baseline);
+    const GuardedRepartitionResult want =
+        run_tiered_repartition(RepartAlgorithm::kHypergraphRepart, h,
+                               Graph{}, p, rcfg, fresh, delta);
+    EXPECT_EQ(reply_tail(log, ids[i]),
+              "graph=g cut=" + std::to_string(want.result.cost.comm_volume) +
+                  " mig=" +
+                  std::to_string(want.result.cost.migration_volume) +
+                  " tier=" + to_string(want.tier) +
+                  " degraded=0 retries=0 coalesced=0");
+    p = want.result.partition;
+    baseline = fresh.baseline_cut();
+  }
+  server.shutdown();
 }
 
 TEST(ServeServer, BadDeltaInCoalescedRunFailsOnlyItself) {

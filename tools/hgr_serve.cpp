@@ -13,7 +13,8 @@
 // (`nc -lU` / socat), keeping the daemon itself transport-free.
 //
 // Two daemon-level commands sidestep the queue:
-//   STATS   reply immediately with queue depth + serve.* counter values
+//   STATS   reply immediately with queue depth, serve.* counter values and
+//           the O(delta) tier's incremental.attempts / cache_builds
 //   QUIT    drain the queue, reply "BYE", exit cleanly
 // EOF on stdin behaves like QUIT. SIGUSR1 requests a stats-stream dump;
 // an idle daemon flushes it from the serve idle loop (the fix this PR
@@ -122,7 +123,8 @@ std::string stats_line(const serve::Server& server) {
                     " replied=" + std::to_string(server.replied());
   for (const char* name :
        {"serve.requests", "serve.batches", "serve.coalesced", "serve.shed",
-        "serve.errors", "serve.degraded"}) {
+        "serve.errors", "serve.degraded", "incremental.attempts",
+        "incremental.cache_builds"}) {
     out += ' ';
     out += name;
     out += '=';
