@@ -4,13 +4,19 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
+#include <memory>
+#include <mutex>
 #include <string>
+#include <vector>
 
 #include "core/epoch_driver.hpp"
 #include "core/repartitioner.hpp"
 #include "hypergraph/convert.hpp"
+#include "hypergraph/io.hpp"
 #include "parallel/par_partitioner.hpp"
 #include "partition/partitioner.hpp"
+#include "serve/server.hpp"
 #include "workload/datasets.hpp"
 #include "workload/experiment.hpp"
 #include "workload/perturb.hpp"
@@ -195,6 +201,134 @@ TEST(Determinism, GoldenPartitionHashes) {
     EXPECT_EQ(assignment_hash(hypergraph_repartition(h, old_p, rcfg).partition),
               row.repart);
   }
+}
+
+/// FNV-1a over the eight bytes of `word`, continuing from `hash`.
+std::uint64_t fnv_mix(std::uint64_t hash, std::uint64_t word) {
+  for (int byte = 0; byte < 8; ++byte) {
+    hash ^= word & 0xFFU;
+    hash *= 1099511628211ULL;
+    word >>= 8;
+  }
+  return hash;
+}
+
+/// Passes a scenario's epochs through unchanged and keeps the hash of
+/// every partition the epoch loop records.
+class RecordingScenario final : public EpochScenario {
+ public:
+  explicit RecordingScenario(EpochScenario& inner) : inner_(inner) {}
+  EpochProblem next_epoch() override { return inner_.next_epoch(); }
+  void record_partition(const Partition& p) override {
+    hashes.push_back(assignment_hash(p));
+    inner_.record_partition(p);
+  }
+  std::vector<std::uint64_t> hashes;
+
+ private:
+  EpochScenario& inner_;
+};
+
+struct GoldenEpochRun {
+  bool structural;
+  IncrementalMode mode;
+  const char* tiers;  // one letter per epoch: s(tatic), f(ull), i(ncremental)
+  std::uint64_t hash;  // every epoch's assignment hash, comm and mig
+};
+
+constexpr Index kGoldenEpochs = 5;
+
+// run_epochs over both paper scenarios on auto-like at scale 0.02, under
+// each incremental routing mode. The rows pin the epoch loop's answers
+// (partitions and reported costs) and which tier gave them; regenerate
+// only when an algorithm or the routing changes on purpose.
+constexpr GoldenEpochRun kGoldenEpochRuns[] = {
+  {false, IncrementalMode::kOff, "sffff", 0x98f43249e12f2b45ULL},
+  {false, IncrementalMode::kAuto, "sfiff", 0xc802bae672cbd1e2ULL},
+  {false, IncrementalMode::kOn, "sfiff", 0xc802bae672cbd1e2ULL},
+  {true, IncrementalMode::kOff, "sffff", 0xf0aaded99bc5fce2ULL},
+  {true, IncrementalMode::kAuto, "sffff", 0xf0aaded99bc5fce2ULL},
+  {true, IncrementalMode::kOn, "sfiii", 0x8cdc6e967c2cf122ULL},
+};
+
+// A scripted hgr_serve stream on the same graph, one batch per request
+// (drained after each, so nothing coalesces): LOAD, three DELTAs, ADD,
+// REMOVE, REPART. The replies carry every cut, migration volume and tier.
+const char* const kGoldenServeReplies[] = {
+    "OK 1 graph=g n=216 nets=1040 k=8 cut=364 tier=static",
+    "OK 2 graph=g cut=378 mig=30 tier=incremental degraded=0 retries=0 coalesced=0",
+    "OK 3 graph=g cut=382 mig=25 tier=incremental degraded=0 retries=0 coalesced=0",
+    "OK 4 graph=g cut=396 mig=65 tier=incremental degraded=0 retries=0 coalesced=0",
+    "OK 5 graph=g cut=361 mig=187 tier=full degraded=0 retries=0 coalesced=0",
+    "OK 6 graph=g cut=355 mig=7 tier=full degraded=0 retries=0 coalesced=0",
+    "OK 7 graph=g cut=355 mig=0 tier=full degraded=0 retries=0 coalesced=0",
+};
+
+TEST(Determinism, GoldenEpochRows) {
+  const Graph base = make_dataset("auto-like", 0.02, 1);
+  // Milder refinement than the paper's 1.5-7.5x, so the fast path
+  // absorbs some weight epochs and escalates others.
+  WeightPerturbOptions refine;
+  refine.max_factor = 5.0;
+  for (const GoldenEpochRun& row : kGoldenEpochRuns) {
+    SCOPED_TRACE(std::string(row.structural ? "structural" : "weights") +
+                 " incremental=" + to_string(row.mode));
+    RepartitionerConfig cfg;
+    cfg.alpha = 10;
+    cfg.partition.num_parts = 8;
+    cfg.partition.seed = 11;
+    cfg.partition.incremental = row.mode;
+    cfg.partition.incremental_max_delta_frac = 0.5;
+    std::unique_ptr<EpochScenario> inner;
+    if (row.structural)
+      inner = std::make_unique<StructuralPerturbScenario>(
+          base, StructuralPerturbOptions{}, 5);
+    else
+      inner = std::make_unique<WeightPerturbScenario>(base, refine, 5);
+    RecordingScenario scenario(*inner);
+    const EpochRunSummary s = run_epochs(
+        scenario, RepartAlgorithm::kHypergraphRepart, cfg, kGoldenEpochs);
+    ASSERT_EQ(s.epochs.size(), static_cast<std::size_t>(kGoldenEpochs));
+    ASSERT_EQ(scenario.hashes.size(), s.epochs.size());
+    std::string tiers;
+    std::uint64_t hash = 14695981039346656037ULL;
+    for (std::size_t e = 0; e < s.epochs.size(); ++e) {
+      tiers += to_string(s.epochs[e].tier)[0];
+      hash = fnv_mix(hash, scenario.hashes[e]);
+      hash = fnv_mix(hash, static_cast<std::uint64_t>(
+                               s.epochs[e].cost.comm_volume));
+      hash = fnv_mix(hash, static_cast<std::uint64_t>(
+                               s.epochs[e].cost.migration_volume));
+    }
+    EXPECT_EQ(tiers, row.tiers);
+    EXPECT_EQ(hash, row.hash);
+  }
+
+  const std::string path = ::testing::TempDir() + "/golden_epoch_rows.hgr";
+  write_hmetis_file(graph_to_hypergraph(base), path);
+  std::mutex mutex;
+  std::vector<std::string> replies;
+  serve::ServeConfig scfg;
+  scfg.default_alpha = 10;
+  scfg.seed = 11;
+  serve::Server server(scfg, [&](const std::string& line) {
+    const std::lock_guard<std::mutex> lock(mutex);
+    replies.push_back(line);
+  });
+  for (const char* request :
+       {"LOAD g PATH k=8", "DELTA g 3:9", "DELTA g 40:1 41:7",
+        "DELTA g 100:12", "ADD g 3 5 2", "REMOVE g 0 7 64", "REPART g"}) {
+    std::string line = request;
+    if (const auto at = line.find("PATH"); at != std::string::npos)
+      line.replace(at, 4, path);
+    server.submit(line);
+    server.drain();
+  }
+  server.shutdown();
+  const std::lock_guard<std::mutex> lock(mutex);
+  ASSERT_EQ(replies.size(), std::size(kGoldenServeReplies));
+  for (std::size_t i = 0; i < replies.size(); ++i)
+    EXPECT_EQ(replies[i], kGoldenServeReplies[i]) << "reply " << i;
 }
 
 }  // namespace
