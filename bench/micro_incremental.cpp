@@ -4,7 +4,7 @@
 // Setup per trial: partition a synthetic hypergraph, perturb the weights
 // of a small fraction of its vertices (default 1%), then answer the
 // resulting epoch twice — once through hypergraph_repartition (the full
-// tier) and once through IncrementalRepartitioner::try_epoch seeded with
+// tier) and once through EpochSession::try_epoch seeded with
 // the exact changed-vertex delta. Both answers are produced under the
 // same balance bound; the incremental run must be accepted (no drift or
 // imbalance escalation) for its timing to count, and the
@@ -21,10 +21,9 @@
 #include "bench_json.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
-#include "core/incremental_repart.hpp"
+#include "core/epoch_session.hpp"
 #include "core/repartitioner.hpp"
 #include "hypergraph/builder.hpp"
-#include "metrics/cut.hpp"
 #include "partition/partitioner.hpp"
 
 namespace {
@@ -84,7 +83,6 @@ int run(const Options& opt) {
     // The epoch's perturbation: delta_frac of the vertices change weight.
     EpochDelta delta;
     delta.known = true;
-    delta.prev_vertices = opt.n;
     const auto changed =
         static_cast<Index>(static_cast<double>(opt.n) * opt.delta_frac);
     for (Index i = 0; i < changed; ++i) {
@@ -94,13 +92,13 @@ int run(const Options& opt) {
           1 + static_cast<Weight>(rng.below(8));
       delta.changed.push_back(VertexId{v});
     }
-    const Hypergraph after = build_instance(opt, weights, seed);
-
-    IncrementalRepartitioner inc;
-    inc.note_full(connectivity_cut(before, old_p));
+    // Same nets, so old_p's cut on `after` is the drift baseline.
+    EpochSession inc;
+    inc.bootstrap(build_instance(opt, weights, seed), old_p);
+    const Hypergraph& after = inc.hypergraph();
 
     WallTimer inc_timer;
-    const IncrementalOutcome fast = inc.try_epoch(after, old_p, delta, cfg);
+    const IncrementalOutcome fast = inc.try_epoch(delta, cfg);
     const double inc_seconds = inc_timer.seconds();
 
     WallTimer full_timer;

@@ -7,11 +7,8 @@
 
 #include "common/assert.hpp"
 #include "common/timer.hpp"
-#include "core/incremental_repart.hpp"
 #include "core/repartition_model.hpp"
 #include "graphpart/scratch_remap.hpp"
-#include "metrics/migration.hpp"
-#include "obs/critical_path.hpp"
 #include "obs/events.hpp"
 #include "obs/trace.hpp"
 #include "parallel/par_partitioner.hpp"
@@ -21,18 +18,10 @@ namespace hgr {
 
 namespace {
 
-RepartitionResult finish(const Hypergraph& h, const Partition& old_p,
-                         Partition new_p, Weight alpha, double seconds) {
-  RepartitionResult result;
-  result.cost = evaluate_repartition(h, old_p, new_p, alpha);
-  result.plan = extract_migration_plan(h.vertex_sizes(), old_p, new_p);
-  result.partition = std::move(new_p);
-  result.seconds = seconds;
-  return result;
-}
-
-RepartitionResult finish(const Graph& g, const Partition& old_p,
-                         Partition new_p, Weight alpha, double seconds) {
+/// The move from old_p to new_p, costed on `g` (a Hypergraph or a Graph).
+template <typename G>
+RepartitionResult finish(const G& g, const Partition& old_p, Partition new_p,
+                         Weight alpha, double seconds) {
   RepartitionResult result;
   result.cost = evaluate_repartition(g, old_p, new_p, alpha);
   result.plan = extract_migration_plan(g.vertex_sizes(), old_p, new_p);
@@ -167,45 +156,9 @@ RepartitionResult attempt_repartition(RepartAlgorithm algorithm,
     pcfg.deadlock_timeout = cfg.deadlock_timeout;
     ParallelPartitionResult pr =
         parallel_hypergraph_repartition(h, old_p, cfg.alpha, pcfg);
-    RepartitionResult result;
-    result.cost = evaluate_repartition(h, old_p, pr.partition, cfg.alpha);
-    result.plan =
-        extract_migration_plan(h.vertex_sizes(), old_p, pr.partition);
-    result.partition = std::move(pr.partition);
-    result.seconds = pr.seconds;
-    return result;
+    return finish(h, old_p, std::move(pr.partition), cfg.alpha, pr.seconds);
   }
   return run_repartition_algorithm(algorithm, h, g, old_p, cfg);
-}
-
-/// Serial tiers have no per-rank timeline, so the parallel runtime never
-/// opens a span for them. Record the whole tier as a one-rank span instead:
-/// the critical-path section stays populated (rank 0, zero wait) whichever
-/// tier handled the epoch.
-void record_serial_epoch_span(const char* phase, double seconds) {
-  const std::uint64_t span = obs::begin_epoch_span();
-  obs::record_rank_phase(span, 0, phase, seconds, 0.0);
-  obs::end_epoch_span(span);
-}
-
-/// True when run_repartition_with_policy dispatches to the parallel
-/// runtime, which records its own per-rank critical-path span.
-bool uses_parallel_runtime(RepartAlgorithm algorithm,
-                           const RepartitionerConfig& cfg) {
-  return cfg.num_ranks > 0 &&
-         algorithm == RepartAlgorithm::kHypergraphRepart;
-}
-
-/// The terminal fallback: keep the previous assignment. Zero migration by
-/// construction; the cut is recomputed on the epoch hypergraph so the
-/// record stays honest about what a stale partition costs.
-RepartitionResult keep_old_partition(const Hypergraph& h,
-                                     const Partition& old_p, Weight alpha) {
-  RepartitionResult result;
-  result.cost = evaluate_repartition(h, old_p, old_p, alpha);
-  result.plan = extract_migration_plan(h.vertex_sizes(), old_p, old_p);
-  result.partition = old_p;
-  return result;
 }
 
 /// Exponential backoff before retry `attempt` (1-based). The exponent is
@@ -262,8 +215,9 @@ GuardedRepartitionResult run_repartition_with_policy(
         // just too slow, and rerunning the same full-cost computation
         // would burn another budget multiple while the epoch is already
         // late. Counted separately from thrown failures.
-        out.error = RepartitionOverBudget(r.seconds, cfg.epoch_time_budget)
-                        .what();
+        out.error = "repartition attempt took " + std::to_string(r.seconds) +
+                    "s, over the per-epoch budget of " +
+                    std::to_string(cfg.epoch_time_budget) + "s";
         over_budget_counter += 1;
         if (obs::events_enabled())
           obs::emit_instant("epoch.over_budget", "epoch");
@@ -305,65 +259,11 @@ GuardedRepartitionResult run_repartition_with_policy(
       out.error = e.what();  // fall through to keep-old: the last resort
     }
   }
-  out.result = keep_old_partition(h, old_p, cfg.alpha);
+  // The terminal fallback: keep the previous assignment. Zero migration by
+  // construction; the cut is recomputed on the epoch hypergraph so the
+  // record stays honest about what a stale partition costs.
+  out.result = finish(h, old_p, old_p, cfg.alpha, 0.0);
   out.result.seconds = timer.seconds();
-  return out;
-}
-
-GuardedRepartitionResult run_tiered_repartition(
-    RepartAlgorithm algorithm, const Hypergraph& h, const Graph& g,
-    const Partition& old_p, const RepartitionerConfig& cfg,
-    IncrementalRepartitioner& inc, const EpochDelta& delta) {
-  // The fast path repairs a hypergraph partition through the gain cache;
-  // graph-family algorithms keep their own full pipelines.
-  const bool hypergraph_family =
-      algorithm == RepartAlgorithm::kHypergraphRepart ||
-      algorithm == RepartAlgorithm::kHypergraphScratch;
-  if (cfg.partition.incremental != IncrementalMode::kOff &&
-      hypergraph_family && old_p.k == cfg.partition.num_parts) {
-    IncrementalOutcome fast = inc.try_epoch(h, old_p, delta, cfg);
-    if (fast.accepted) {
-      GuardedRepartitionResult out;
-      out.tier = RepartTier::kIncremental;
-      // The fast path's cut is maintained by the gain cache (try_epoch
-      // checks it against connectivity_cut at paranoid): only the
-      // migration volume needs a pass, and that one is O(n), not O(pins).
-      out.result.cost.alpha = cfg.alpha;
-      out.result.cost.comm_volume = fast.cut;
-      out.result.cost.migration_volume =
-          migration_volume(h.vertex_sizes(), old_p, fast.partition);
-      out.result.plan =
-          extract_migration_plan(h.vertex_sizes(), old_p, fast.partition);
-      out.result.partition = std::move(fast.partition);
-      out.result.seconds = fast.seconds;
-      obs::counter("epoch.tier_incremental") += 1;
-      obs::histogram("epoch.incremental_ns")
-          .record(static_cast<std::int64_t>(fast.seconds * 1e9));
-      record_serial_epoch_span("incremental", fast.seconds);
-      return out;
-    }
-    GuardedRepartitionResult out =
-        run_repartition_with_policy(algorithm, h, g, old_p, cfg);
-    out.tier = RepartTier::kFull;
-    out.escalated = fast.attempted;
-    out.tier_reason = fast.reason;
-    if (fast.attempted) obs::counter("epoch.escalations") += 1;
-    obs::counter("epoch.tier_full") += 1;
-    obs::histogram("epoch.full_ns")
-        .record(static_cast<std::int64_t>(out.result.seconds * 1e9));
-    if (!uses_parallel_runtime(algorithm, cfg))
-      record_serial_epoch_span("full", out.result.seconds);
-    inc.note_full(out.result.cost.comm_volume);
-    return out;
-  }
-  GuardedRepartitionResult out =
-      run_repartition_with_policy(algorithm, h, g, old_p, cfg);
-  obs::counter("epoch.tier_full") += 1;
-  obs::histogram("epoch.full_ns")
-      .record(static_cast<std::int64_t>(out.result.seconds * 1e9));
-  if (!uses_parallel_runtime(algorithm, cfg))
-    record_serial_epoch_span("full", out.result.seconds);
-  inc.note_full(out.result.cost.comm_volume);
   return out;
 }
 

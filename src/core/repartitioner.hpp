@@ -10,7 +10,6 @@
 // the experiment harness and applications can swap strategies.
 #pragma once
 
-#include <stdexcept>
 #include <string>
 
 #include "common/stop_token.hpp"
@@ -119,19 +118,6 @@ RepartitionResult run_repartition_algorithm(RepartAlgorithm algorithm,
                                             const Partition& old_p,
                                             const RepartitionerConfig& cfg);
 
-/// An attempt that completed over cfg.epoch_time_budget. The policy loop
-/// no longer throws this across attempts (over-budget is non-retryable);
-/// it is kept as the canonical message formatter for that outcome and for
-/// callers that probe errors with catch clauses.
-class RepartitionOverBudget : public std::runtime_error {
- public:
-  RepartitionOverBudget(double seconds, double budget)
-      : std::runtime_error("repartition attempt took " +
-                           std::to_string(seconds) +
-                           "s, over the per-epoch budget of " +
-                           std::to_string(budget) + "s") {}
-};
-
 /// Which tier of the two-tier epoch system produced a partition
 /// (docs/INCREMENTAL.md). kStatic is the bootstrap epoch; kFull is a full
 /// repartition (V-cycle / scratch / graph algorithm); kIncremental is the
@@ -171,18 +157,5 @@ struct GuardedRepartitionResult {
 GuardedRepartitionResult run_repartition_with_policy(
     RepartAlgorithm algorithm, const Hypergraph& h, const Graph& g,
     const Partition& old_p, const RepartitionerConfig& cfg);
-
-class IncrementalRepartitioner;
-struct EpochDelta;
-
-/// Two-tier dispatch (docs/INCREMENTAL.md): when
-/// cfg.partition.incremental allows it and `inc` accepts the epoch, the
-/// O(delta) fast path answers; otherwise the call falls through to
-/// run_repartition_with_policy and the full result refreshes the drift
-/// baseline. Bumps the epoch.tier_* / epoch.escalations counters.
-GuardedRepartitionResult run_tiered_repartition(
-    RepartAlgorithm algorithm, const Hypergraph& h, const Graph& g,
-    const Partition& old_p, const RepartitionerConfig& cfg,
-    IncrementalRepartitioner& inc, const EpochDelta& delta);
 
 }  // namespace hgr

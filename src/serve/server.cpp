@@ -7,14 +7,12 @@
 
 #include "common/thread_pool.hpp"
 #include "common/workspace.hpp"
-#include "core/incremental_repart.hpp"
+#include "core/epoch_session.hpp"
 #include "hypergraph/builder.hpp"
 #include "hypergraph/io.hpp"
 #include "metrics/balance.hpp"
-#include "metrics/cut.hpp"
 #include "obs/stats_stream.hpp"
 #include "obs/trace.hpp"
-#include "partition/partitioner.hpp"
 
 namespace hgr::serve {
 
@@ -26,16 +24,12 @@ std::string err_line(std::uint64_t id, const std::string& why) {
   return "ERR " + std::to_string(id) + " " + why;
 }
 
-/// The part with the least weight under `p` — where ADD places new
-/// vertices until the next epoch dispatch rebalances properly.
+/// The part with the least weight under `p` (the first, on ties) — where
+/// ADD places new vertices until the next epoch dispatch rebalances.
 PartId lightest_part(const Hypergraph& h, const Partition& p) {
-  IdVector<PartId, Weight> part_weights(p.k, Weight{0});
-  for (const VertexId v : p.vertices())
-    part_weights[p[v]] += h.vertex_weight(v);
-  PartId best{0};
-  for (const PartId part : p.parts())
-    if (part_weights[part] < part_weights[best]) best = part;
-  return best;
+  const IdVector<PartId, Weight> pw = part_weights(h.vertex_weights(), p);
+  return PartId{
+      static_cast<Index>(std::min_element(pw.begin(), pw.end()) - pw.begin())};
 }
 
 /// Copy `h`'s structure into a fresh builder over `new_n` vertices, with
@@ -81,19 +75,17 @@ struct Server::Runtime {
   std::optional<ThreadPool> pool;
 };
 
-/// Per-graph warm state, owned by the worker thread. The
-/// IncrementalRepartitioner carries the resident gain cache of the fast
-/// path and its drift baseline; `h`/`p` are the live hypergraph and its
-/// current partition. DELTA edits `h` in place, so the cache built on it
-/// stays valid across requests (docs/INCREMENTAL.md, "Resident cache").
+/// Per-graph warm state, owned by the worker thread. The EpochSession
+/// holds the live hypergraph and its current partition, the drift baseline
+/// and the resident gain cache of the fast path. DELTA edits the
+/// hypergraph in place, so the cache built on it stays valid across
+/// requests (docs/INCREMENTAL.md, "Resident cache").
 struct Server::GraphState {
-  explicit GraphState(Workspace* ws) : inc(ws) {}
-  Hypergraph h;
-  Partition p;
+  explicit GraphState(Workspace* ws) : session(ws) {}
+  EpochSession session;
   Index k = 0;
   Weight alpha = 100;
   double epsilon = 0.05;
-  IncrementalRepartitioner inc;
 };
 
 Server::Server(ServeConfig cfg, ReplyFn reply)
@@ -318,19 +310,17 @@ void Server::execute_batch(const std::string& graph,
   try {
     if (head.kind == RequestKind::kLoad) {
       auto state = std::make_unique<GraphState>(&runtime_->ws);
-      state->h = read_hmetis_file(head.path);
       state->k = head.k > 0 ? head.k : cfg_.default_k;
       state->alpha = head.alpha >= 0 ? head.alpha : cfg_.default_alpha;
       state->epsilon =
           head.epsilon > 0.0 ? head.epsilon : cfg_.default_epsilon;
-      PartitionConfig pcfg = make_repart_config(*state).partition;
-      state->p = partition_hypergraph(state->h, pcfg);
-      const Weight cut = connectivity_cut(state->h, state->p);
-      state->inc.note_full(cut);
+      const Weight cut = state->session.bootstrap(
+          read_hmetis_file(head.path), make_repart_config(*state).partition);
+      const Hypergraph& h = state->session.hypergraph();
       const std::string reply =
           ok_prefix(head.id) + " graph=" + graph +
-          " n=" + std::to_string(state->h.num_vertices()) +
-          " nets=" + std::to_string(state->h.num_nets()) +
+          " n=" + std::to_string(h.num_vertices()) +
+          " nets=" + std::to_string(h.num_nets()) +
           " k=" + std::to_string(state->k) + " cut=" + std::to_string(cut) +
           " tier=static";
       graphs_[graph] = std::move(state);  // reload replaces warm state
@@ -343,6 +333,8 @@ void Server::execute_batch(const std::string& graph,
       fail_batch("unknown graph '" + graph + "' (LOAD it first)");
       return;
     }
+    EpochSession& session = gs->session;
+    const Index n = session.hypergraph().num_vertices();
 
     EpochDelta delta;
     bool dispatch = true;
@@ -356,7 +348,7 @@ void Server::execute_batch(const std::string& graph,
           const auto bad = std::find_if(
               pr.req.updates.begin(), pr.req.updates.end(),
               [&](const WeightUpdate& u) {
-                return u.v.v < 0 || u.v.v >= gs->h.num_vertices();
+                return u.v.v < 0 || u.v.v >= n;
               });
           if (bad == pr.req.updates.end()) {
             valid.push_back(std::move(pr));
@@ -380,19 +372,18 @@ void Server::execute_batch(const std::string& graph,
         break;
       case RequestKind::kSwap: {
         Hypergraph next = read_hmetis_file(head.path);
-        if (next.num_vertices() == gs->h.num_vertices()) {
+        if (next.num_vertices() == n) {
           // Same vertex space: keep the old assignment, let a full epoch
-          // decide what moves (delta unknown => full tier).
-          gs->h = std::move(next);
+          // decide what moves. The old graph's cut says nothing about the
+          // new one, so the baseline goes and the dispatch is full-tier.
+          session.replace_structure(std::move(next), session.partition(),
+                                    /*keep_baseline=*/false);
         } else {
-          gs->h = std::move(next);
-          PartitionConfig pcfg = make_repart_config(*gs).partition;
-          gs->p = partition_hypergraph(gs->h, pcfg);
-          const Weight cut = connectivity_cut(gs->h, gs->p);
-          gs->inc.note_full(cut);
+          const Weight cut = session.bootstrap(
+              std::move(next), make_repart_config(*gs).partition);
           dispatch = false;
-          static_reply = ok_prefix(head.id) + " graph=" + graph +
-                         " n=" + std::to_string(gs->h.num_vertices()) +
+          static_reply = ok_prefix(head.id) + " graph=" + graph + " n=" +
+                         std::to_string(session.hypergraph().num_vertices()) +
                          " cut=" + std::to_string(cut) + " tier=static";
         }
         break;
@@ -409,12 +400,9 @@ void Server::execute_batch(const std::string& graph,
       return;
     }
 
-    const RepartitionerConfig rcfg = make_repart_config(*gs);
-    GuardedRepartitionResult out =
-        run_tiered_repartition(RepartAlgorithm::kHypergraphRepart, gs->h,
-                               Graph{}, gs->p, rcfg, gs->inc, delta);
+    const GuardedRepartitionResult out = session.repartition(
+        RepartAlgorithm::kHypergraphRepart, delta, make_repart_config(*gs));
     if (out.degraded) degraded_counter += 1;
-    gs->p = out.result.partition;
     const std::string tail =
         " graph=" + graph +
         " cut=" + std::to_string(out.result.cost.comm_volume) +
@@ -461,42 +449,40 @@ EpochDelta Server::apply_delta_batch(
   EpochDelta delta;
   for (const PendingRequest& pr : batch) {
     for (const WeightUpdate& u : pr.req.updates) {
-      gs.h.set_vertex_weight(u.v, u.w);
+      gs.session.set_vertex_weight(u.v, u.w);
       delta.changed.push_back(u.v);
     }
   }
   std::sort(delta.changed.begin(), delta.changed.end());
   delta.changed.erase(std::unique(delta.changed.begin(), delta.changed.end()),
                       delta.changed.end());
-  delta.removed = 0;
-  delta.prev_vertices = gs.h.num_vertices();
   delta.known = true;
   return delta;
 }
 
 EpochDelta Server::apply_add(GraphState& gs, const Request& req) {
-  const Index old_n = gs.h.num_vertices();
+  const Hypergraph& h = gs.session.hypergraph();
+  const Index old_n = h.num_vertices();
   const Index add_n = static_cast<Index>(req.add_weights.size());
-  HypergraphBuilder b =
-      rebuild_remapped(gs.h, old_n + add_n, identity_remap(gs.h));
+  HypergraphBuilder b = rebuild_remapped(h, old_n + add_n, identity_remap(h));
   for (Index i = 0; i < add_n; ++i) {
     b.set_vertex_weight(old_n + i, req.add_weights[static_cast<std::size_t>(i)]);
     b.set_vertex_size(old_n + i, 1);
   }
-  const PartId target = lightest_part(gs.h, gs.p);
-  gs.h = b.finalize();
-  gs.p.assignment.resize(gs.h.num_vertices(), target);
+  Partition next = gs.session.partition();
+  next.assignment.resize(old_n + add_n, lightest_part(h, next));
+  gs.session.replace_structure(b.finalize(), std::move(next),
+                               /*keep_baseline=*/true);
   EpochDelta delta;
   for (Index i = 0; i < add_n; ++i)
     delta.changed.push_back(VertexId{old_n + i});
-  delta.removed = 0;
-  delta.prev_vertices = old_n;
   delta.known = true;
   return delta;
 }
 
 EpochDelta Server::apply_remove(GraphState& gs, const Request& req) {
-  const Index old_n = gs.h.num_vertices();
+  const Hypergraph& h = gs.session.hypergraph();
+  const Index old_n = h.num_vertices();
   IdVector<VertexId, bool> drop(old_n, false);
   for (const VertexId v : req.remove) {
     if (v.v < 0 || v.v >= old_n)
@@ -506,30 +492,29 @@ EpochDelta Server::apply_remove(GraphState& gs, const Request& req) {
   }
   // Survivors sharing a net with a dropped vertex are the repair frontier.
   IdVector<VertexId, bool> touched(old_n, false);
-  for (const VertexId v : gs.h.vertices()) {
+  for (const VertexId v : h.vertices()) {
     if (!drop[v]) continue;
-    for (const NetId net : gs.h.incident_nets(v))
-      for (const VertexId u : gs.h.pins(net))
+    for (const NetId net : h.incident_nets(v))
+      for (const VertexId u : h.pins(net))
         if (!drop[u]) touched[u] = true;
   }
   IdVector<VertexId, Index> remap(old_n);
   Index new_n = 0;
-  for (const VertexId v : gs.h.vertices())
+  for (const VertexId v : h.vertices())
     remap[v] = drop[v] ? kInvalidIndex : new_n++;
   if (new_n == 0)
     throw std::invalid_argument("REMOVE: cannot drop every vertex");
-  HypergraphBuilder b = rebuild_remapped(gs.h, new_n, remap);
-  Partition next(gs.p.k, new_n);
+  HypergraphBuilder b = rebuild_remapped(h, new_n, remap);
+  Partition next(gs.session.partition().k, new_n);
   EpochDelta delta;
-  for (const VertexId v : gs.h.vertices()) {
+  for (const VertexId v : h.vertices()) {
     if (remap[v] == kInvalidIndex) continue;
-    next[VertexId{remap[v]}] = gs.p[v];
+    next[VertexId{remap[v]}] = gs.session.partition()[v];
     if (touched[v]) delta.changed.push_back(VertexId{remap[v]});
   }
-  gs.h = b.finalize();
-  gs.p = std::move(next);
+  gs.session.replace_structure(b.finalize(), std::move(next),
+                               /*keep_baseline=*/true);
   delta.removed = old_n - new_n;
-  delta.prev_vertices = old_n;
   delta.known = true;
   return delta;
 }

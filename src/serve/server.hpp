@@ -8,11 +8,11 @@
 // letting latency grow without bound. Admitted requests are queued per
 // graph and drained by ONE worker thread that owns every GraphState plus
 // the warm machinery: the Workspace arenas, the ThreadPool, and each
-// graph's IncrementalRepartitioner (gain-cache fast path + drift
-// baseline). Single-ownership keeps the partitioning pipeline free of new
-// locks — the Workspace BusyGuard would abort on any second toucher — and
-// makes batching natural: consecutive DELTA requests against the same
-// graph are coalesced into one epoch dispatch (serve.coalesced).
+// graph's EpochSession (hypergraph, partition, resident gain cache and
+// drift baseline). Single-ownership keeps the partitioning pipeline free
+// of new locks — the Workspace BusyGuard would abort on any second toucher
+// — and makes batching natural: consecutive DELTA requests against the
+// same graph are coalesced into one epoch dispatch (serve.coalesced).
 //
 // The PR 5 degradation policy is the per-request SLO layer: every dispatch
 // runs under cfg.epoch_time_budget / max_retries / fallback, and the
@@ -35,7 +35,7 @@
 
 #include "common/stop_token.hpp"
 #include "common/timer.hpp"
-#include "core/repartitioner.hpp"
+#include "core/epoch_session.hpp"
 #include "fault/fault_plan.hpp"
 #include "serve/request.hpp"
 

@@ -22,7 +22,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/incremental_repart.hpp"
+#include "core/epoch_session.hpp"
 #include "hypergraph/convert.hpp"
 #include "hypergraph/io.hpp"
 #include "metrics/cut.hpp"
@@ -163,7 +163,7 @@ std::string reply_tail(const ReplyLog& log, std::uint64_t id) {
 
 // The resident gain cache changes no answer: DELTA batches that are not
 // coalesced reply with the cut=/mig= of a replay that rebuilds the cache
-// for every request (a fresh IncrementalRepartitioner each time). The
+// for every request (a fresh EpochSession each time). The
 // second DELTA escalates to the full tier, so the third must sync the
 // cache to a partition it never produced.
 TEST(ServeServer, SeparateDeltaBatchesMatchARebuildingReplay) {
@@ -195,27 +195,26 @@ TEST(ServeServer, SeparateDeltaBatchesMatchARebuildingReplay) {
   rcfg.alpha = cfg.default_alpha;
   Hypergraph h = read_hmetis_file(path);
   Partition p = partition_hypergraph(h, rcfg.partition);
-  Weight baseline = connectivity_cut(h, p);
+  Partition baseline_p = p;  // its cut is the drift baseline
   for (std::size_t i = 0; i < updates.size(); ++i) {
     const VertexId v{updates[i].first};
     h.set_vertex_weight(v, updates[i].second);
     EpochDelta delta;
     delta.changed = {v};
-    delta.prev_vertices = h.num_vertices();
     delta.known = true;
-    IncrementalRepartitioner fresh;
-    fresh.note_full(baseline);
+    EpochSession fresh;
+    fresh.bootstrap(Hypergraph(h), baseline_p);
+    fresh.set_partition(p);
     const GuardedRepartitionResult want =
-        run_tiered_repartition(RepartAlgorithm::kHypergraphRepart, h,
-                               Graph{}, p, rcfg, fresh, delta);
+        fresh.repartition(RepartAlgorithm::kHypergraphRepart, delta, rcfg);
     EXPECT_EQ(reply_tail(log, ids[i]),
               "graph=g cut=" + std::to_string(want.result.cost.comm_volume) +
                   " mig=" +
                   std::to_string(want.result.cost.migration_volume) +
                   " tier=" + to_string(want.tier) +
                   " degraded=0 retries=0 coalesced=0");
-    p = want.result.partition;
-    baseline = fresh.baseline_cut();
+    p = fresh.partition();
+    if (want.tier == RepartTier::kFull) baseline_p = p;
   }
   server.shutdown();
 }
@@ -342,6 +341,32 @@ TEST(ServeServer, AddRemoveSwapAdjustTheVertexSpace) {
   EXPECT_NE(all[3].find("n=125"), std::string::npos) << all[3];
   EXPECT_NE(all[3].find("tier=static"), std::string::npos) << all[3];
   EXPECT_NE(all[4].find("tier=full"), std::string::npos) << all[4];
+  server.shutdown();
+}
+
+// A same-size SWAP brings an unrelated structure: the old graph's cut is
+// no baseline for it, so even --incremental=on answers from the full
+// tier, whose cut then serves the next DELTA.
+TEST(ServeServer, SameSizeSwapDropsTheDriftBaseline) {
+  ReplyLog log;
+  ServeConfig cfg = serial_cfg();
+  cfg.incremental = IncrementalMode::kOn;
+  Server server(cfg, log_into(log));
+  server.submit("LOAD g " + grid_hgr_path("serve_swap_baseline") + " k=4");
+  // A 64-vertex chain: the fast path repairs the grid's assignment to a
+  // cut below the grid's, so a stale baseline would accept it.
+  const std::string chain = ::testing::TempDir() + "/serve_swap_chain.hgr";
+  write_hmetis_file(graph_to_hypergraph(make_grid3d(64, 1, 1, false)), chain);
+  const std::uint64_t swap = server.submit("SWAP g " + chain);
+  const std::uint64_t repart = server.submit("REPART g");
+  server.drain();
+  EXPECT_EQ(reply_tail(log, swap).rfind("graph=g ", 0), 0u)
+      << reply_tail(log, swap);
+  EXPECT_NE(reply_tail(log, swap).find(" tier=full "), std::string::npos)
+      << reply_tail(log, swap);
+  EXPECT_NE(reply_tail(log, repart).find(" tier=incremental "),
+            std::string::npos)
+      << reply_tail(log, repart);
   server.shutdown();
 }
 

@@ -41,7 +41,7 @@
 #include "fault/fault_plan.hpp"
 #include "common/timer.hpp"
 #include "core/epoch_driver.hpp"
-#include "core/incremental_repart.hpp"
+#include "core/epoch_session.hpp"
 #include "core/repartitioner.hpp"
 #include "hypergraph/convert.hpp"
 #include "hypergraph/io.hpp"
@@ -331,7 +331,7 @@ int main(int argc, char** argv) {
 #endif
   }
   try {
-    const Hypergraph h = load(opt);
+    Hypergraph h = load(opt);
     if (opt.mode == "info") {
       const DegreeStats vd = hypergraph_vertex_degree_stats(h);
       const DegreeStats ns = hypergraph_net_size_stats(h);
@@ -406,10 +406,12 @@ int main(int argc, char** argv) {
       if (opt.old_parts_path.empty()) usage("repartition requires --old=");
       const Partition old_p =
           read_partition_file(opt.old_parts_path, h.num_vertices(), opt.k);
-      Partition p(opt.k, h.num_vertices());
-      RepartitionCost cost;
-      double seconds = 0.0;
-      std::size_t moves = 0;
+      // The session takes h over; the old partition's cut is its baseline.
+      // The one-shot delta is unknown (whole epoch), so --incremental=auto
+      // escalates while --incremental=on repairs the old partition.
+      EpochSession session;
+      session.bootstrap(std::move(h), old_p);
+      const Hypergraph& hg = session.hypergraph();
       GuardedRepartitionResult guarded;
       {
         obs::TraceScope repart_scope("repartition");
@@ -423,20 +425,12 @@ int main(int argc, char** argv) {
         rcfg.num_ranks = opt.ranks;
         rcfg.max_retries = opt.epoch_retries;
         rcfg.epoch_time_budget = opt.epoch_timeout;
-        // Two-tier routing: the old partition's cut seeds the drift
-        // baseline, and the one-shot delta is unknown (whole epoch), so
-        // --incremental=auto escalates while --incremental=on repairs the
-        // old partition in place through the gain cache.
-        IncrementalRepartitioner inc;
-        inc.note_full(connectivity_cut(h, old_p));
-        guarded = run_tiered_repartition(RepartAlgorithm::kHypergraphRepart,
-                                         h, Graph{}, old_p, rcfg, inc,
-                                         EpochDelta{});
-        p = std::move(guarded.result.partition);
-        cost = guarded.result.cost;
-        seconds = guarded.result.seconds;
-        moves = guarded.result.plan.moves.size();
+        guarded = session.repartition(RepartAlgorithm::kHypergraphRepart,
+                                      EpochDelta{}, rcfg);
       }
+      const Partition& p = session.partition();
+      const RepartitionCost& cost = guarded.result.cost;
+      const double seconds = guarded.result.seconds;
       if (guarded.retries > 0 || guarded.degraded)
         std::fprintf(stderr, "repartition %s after %lld failed attempt(s)%s%s\n",
                      guarded.degraded ? "degraded (kept old partition)"
@@ -451,7 +445,7 @@ int main(int argc, char** argv) {
         expect.old_partition = &old_p;
         expect.reported_cut = cost.comm_volume;
         expect.reported_migration = cost.migration_volume;
-        check::validate_partition(h, p, opt.check_level, expect);
+        check::validate_partition(hg, p, opt.check_level, expect);
         std::fprintf(stderr, "validate: repartition ok (%s)\n",
                      check::to_string(opt.check_level));
       }
@@ -461,17 +455,18 @@ int main(int argc, char** argv) {
                      guarded.tier_reason.empty() ? "" : " reason=",
                      guarded.tier_reason.c_str());
       record_epoch_cost(cost, num_migrated(old_p, p));
-      maybe_dump_epoch_csv(opt, h, p, cost, num_migrated(old_p, p), seconds,
+      maybe_dump_epoch_csv(opt, hg, p, cost, num_migrated(old_p, p), seconds,
                            /*epoch=*/2, guarded.degraded, guarded.retries,
                            guarded.tier, guarded.escalated);
-      report_quality(h, p, opt.report);
+      report_quality(hg, p, opt.report);
       std::fprintf(stderr,
                    "alpha=%lld comm=%lld migration=%lld total=%lld "
                    "moves=%zu time=%.3fs\n",
                    static_cast<long long>(opt.alpha),
                    static_cast<long long>(cost.comm_volume),
                    static_cast<long long>(cost.migration_volume),
-                   static_cast<long long>(cost.total()), moves, seconds);
+                   static_cast<long long>(cost.total()),
+                   guarded.result.plan.moves.size(), seconds);
       write_parts(p, opt.out_path);
       maybe_dump_trace(opt);
       return 0;
