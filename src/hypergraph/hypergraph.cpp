@@ -1,7 +1,6 @@
 #include "hypergraph/hypergraph.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <numeric>
 #include <unordered_set>
@@ -21,8 +20,7 @@ Hypergraph::Hypergraph(std::vector<Index> net_offsets,
       vertex_weight_(std::move(vertex_weights)),
       vertex_size_(std::move(vertex_sizes)),
       net_cost_(std::move(net_costs)),
-      fixed_(std::move(fixed)),
-      structure_id_(next_structure_id()) {
+      fixed_(std::move(fixed)) {
   HGR_ASSERT(net_offsets_.size() == static_cast<std::size_t>(num_nets_) + 1);
   HGR_ASSERT(vertex_size_.size() == vertex_weight_.size());
   HGR_ASSERT(fixed_.empty() ||
@@ -30,11 +28,6 @@ Hypergraph::Hypergraph(std::vector<Index> net_offsets,
   total_vertex_weight_ =
       std::accumulate(vertex_weight_.begin(), vertex_weight_.end(), Weight{0});
   build_transpose();
-}
-
-std::uint64_t Hypergraph::next_structure_id() {
-  static std::atomic<std::uint64_t> next{1};  // 0 is never a stamp
-  return next.fetch_add(1);
 }
 
 void Hypergraph::build_transpose() {
@@ -79,7 +72,6 @@ void Hypergraph::set_vertex_size(VertexId v, Weight s) {
 void Hypergraph::scale_net_costs(Weight factor) {
   HGR_ASSERT(factor >= 1);
   for (auto& c : net_cost_) c *= factor;
-  structure_id_ = next_structure_id();
 }
 
 void Hypergraph::validate(Index num_parts) const {

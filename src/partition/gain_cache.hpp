@@ -52,7 +52,6 @@ class GainCache {
   GainCache(const Hypergraph& h, const Partition& p, Workspace* ws = nullptr)
       : GainCache(h, p.k, p.assignment, ws) {}
 
-  const Hypergraph& hypergraph() const { return h_; }
   Index k() const { return k_; }
   Weight cut() const { return cut_; }
   PartId part_of(VertexId v) const {
