@@ -69,14 +69,14 @@ EpochDelta EpochDeltaTracker::observe(const Graph& g,
 }
 
 void EpochSession::release_structure() {
-  cache_.reset();
+  release_cache();
   h_ = Hypergraph();
 }
 
 Weight EpochSession::bootstrap(Hypergraph h, const PartitionConfig& cfg) {
   // The cache can always be rebuilt; h_, p_ and the baseline stay until
   // `h` is partitioned, so a failure leaves them as they were.
-  cache_.reset();
+  release_cache();
   Partition p = partition_hypergraph(h, cfg);
   return bootstrap(std::move(h), std::move(p));
 }

@@ -107,6 +107,10 @@ class EpochSession {
   /// Adopts `p` for the current structure; the cache syncs to it on reuse.
   void set_partition(Partition p);
 
+  /// Frees the resident cache; the next attempt rebuilds it. The
+  /// hypergraph, partition and baseline stay.
+  void release_cache() { cache_.reset(); }
+
   /// Releases the cache and the old hypergraph, then takes `h` with the
   /// assignment `p`. The baseline is kept when `h` continues the old
   /// structure (a structural epoch, ADD, REMOVE) and dropped when it is

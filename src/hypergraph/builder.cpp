@@ -1,6 +1,7 @@
 #include "hypergraph/builder.hpp"
 
 #include <algorithm>
+#include <cstddef>
 
 #include "common/assert.hpp"
 #include "common/csr_utils.hpp"
@@ -17,13 +18,18 @@ HypergraphBuilder::HypergraphBuilder(Index num_vertices)
 
 Index HypergraphBuilder::add_net(std::span<const Index> pins, Weight cost) {
   HGR_ASSERT(cost >= 0);
-  std::vector<Index> ps(pins.begin(), pins.end());
-  std::sort(ps.begin(), ps.end());
-  ps.erase(std::unique(ps.begin(), ps.end()), ps.end());
-  for (const Index v : ps) HGR_ASSERT(v >= 0 && v < num_vertices_);
-  nets_.push_back(std::move(ps));
+  // The builder is the untyped construction boundary: raw pin integers
+  // become VertexId here, once, on the way into the typed Hypergraph.
+  const auto begin = static_cast<std::ptrdiff_t>(pins_.size());
+  for (const Index v : pins) {
+    HGR_ASSERT(v >= 0 && v < num_vertices_);
+    pins_.push_back(VertexId{v});
+  }
+  std::sort(pins_.begin() + begin, pins_.end());
+  pins_.erase(std::unique(pins_.begin() + begin, pins_.end()), pins_.end());
+  net_offsets_.push_back(static_cast<Index>(pins_.size()));
   net_costs_.push_back(cost);
-  return static_cast<Index>(nets_.size()) - 1;
+  return static_cast<Index>(net_costs_.size()) - 1;
 }
 
 Index HypergraphBuilder::add_net(std::initializer_list<Index> pins,
@@ -58,33 +64,34 @@ void HypergraphBuilder::set_fixed_part(Index v, PartId part) {
 }
 
 Hypergraph HypergraphBuilder::finalize() {
+  // Drop nets below min_pins by compacting the CSR in place: a kept net's
+  // pins move down over the dropped ones, and its offset and cost to its
+  // kept index. Reads of net_offsets_[n + 1] stay ahead of the writes.
   const Index min_pins = keep_single_pin_ ? 1 : 2;
-  std::vector<Index> counts;
-  std::vector<Weight> costs;
-  counts.reserve(nets_.size());
-  for (std::size_t n = 0; n < nets_.size(); ++n) {
-    if (static_cast<Index>(nets_[n].size()) >= min_pins) {
-      counts.push_back(static_cast<Index>(nets_[n].size()));
-      costs.push_back(net_costs_[n]);
-    }
-  }
-  std::vector<Index> offsets = counts_to_offsets(std::move(counts));
-  // The builder is the untyped construction boundary: raw pin integers
-  // become VertexId here, once, on the way into the typed Hypergraph.
-  std::vector<VertexId> pins(static_cast<std::size_t>(offsets.back()));
+  const std::size_t added = net_costs_.size();
   std::size_t kept = 0;
-  for (std::size_t n = 0; n < nets_.size(); ++n) {
-    if (static_cast<Index>(nets_[n].size()) < min_pins) continue;
-    std::transform(nets_[n].begin(), nets_[n].end(),
-                   pins.begin() + offsets[kept],
-                   [](Index v) { return VertexId{v}; });
-    ++kept;
+  Index write = 0;
+  Index begin = 0;
+  for (std::size_t n = 0; n < added; ++n) {
+    const Index end = net_offsets_[n + 1];
+    if (end - begin >= min_pins) {
+      if (write != begin)
+        std::copy(pins_.begin() + begin, pins_.begin() + end,
+                  pins_.begin() + write);
+      write += end - begin;
+      net_costs_[kept++] = net_costs_[n];
+      net_offsets_[kept] = write;
+    }
+    begin = end;
   }
+  net_offsets_.resize(kept + 1);
+  pins_.resize(static_cast<std::size_t>(write));
+  net_costs_.resize(kept);
   std::vector<PartId> fixed;
   if (any_fixed_) fixed = std::move(fixed_);
-  return Hypergraph(std::move(offsets), std::move(pins),
+  return Hypergraph(std::move(net_offsets_), std::move(pins_),
                     std::move(vertex_weights_), std::move(vertex_sizes_),
-                    std::move(costs), std::move(fixed));
+                    std::move(net_costs_), std::move(fixed));
 }
 
 GraphBuilder::GraphBuilder(Index num_vertices)

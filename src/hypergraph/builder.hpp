@@ -43,7 +43,11 @@ class HypergraphBuilder {
 
  private:
   Index num_vertices_;
-  std::vector<std::vector<Index>> nets_;
+  // Added nets in CSR form: net i's sorted, deduplicated pins are
+  // pins_[net_offsets_[i], net_offsets_[i + 1]). One flat buffer, so adding
+  // a net allocates only when the buffer grows.
+  std::vector<Index> net_offsets_{0};
+  std::vector<VertexId> pins_;
   std::vector<Weight> net_costs_;
   std::vector<Weight> vertex_weights_;
   std::vector<Weight> vertex_sizes_;

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <numeric>
-#include <unordered_set>
+#include <vector>
 
 namespace hgr {
 
@@ -78,14 +78,19 @@ void Hypergraph::validate(Index num_parts) const {
   HGR_ASSERT(net_offsets_.size() == static_cast<std::size_t>(num_nets_) + 1);
   HGR_ASSERT(net_offsets_.front() == 0);
   HGR_ASSERT(net_offsets_.back() == static_cast<Index>(pins_.size()));
+  // last_net[v] is the last net seen to contain v: one marker array finds
+  // duplicate pins in O(pins) with a single allocation.
+  std::vector<NetId> last_net(static_cast<std::size_t>(num_vertices_),
+                              kInvalidNet);
   for (const NetId n : nets()) {
     HGR_ASSERT_MSG(net_offsets_[static_cast<std::size_t>(n.v)] <=
                        net_offsets_[static_cast<std::size_t>(n.v) + 1],
                    "net offsets not monotone");
-    std::unordered_set<VertexId> seen;
     for (const VertexId v : pins(n)) {
       HGR_ASSERT_MSG(v.v >= 0 && v.v < num_vertices_, "pin out of range");
-      HGR_ASSERT_MSG(seen.insert(v).second, "duplicate pin within a net");
+      NetId& last = last_net[static_cast<std::size_t>(v.v)];
+      HGR_ASSERT_MSG(last != n, "duplicate pin within a net");
+      last = n;
     }
   }
   for (const VertexId v : vertices()) {

@@ -29,13 +29,17 @@ struct MoveProposal {
 ParRefineResult parallel_refine(RankContext& ctx, const Hypergraph& h,
                                 Partition& p, const PartitionConfig& cfg) {
   ParRefineResult result;
-  result.initial_cut = connectivity_cut(h, p);
-  result.final_cut = result.initial_cut;
-  if (p.k <= 1) return result;
+  if (p.k <= 1) {
+    result.initial_cut = connectivity_cut(h, p);
+    result.final_cut = result.initial_cut;
+    return result;
+  }
 
   // Replicated refinement state: every rank holds the same cache and
-  // applies the same moves, so the caches stay identical.
+  // applies the same moves, so the caches stay identical. Its build
+  // computes the starting cut.
   GainCache cache(h, p);
+  result.initial_cut = cache.cut();
   const Weight max_w = max_part_weight(h.total_vertex_weight(), p.k,
                                        cfg.epsilon);
   const auto [lo, hi] = block_range(h.num_vertices(), ctx.size(), ctx.rank());

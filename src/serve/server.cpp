@@ -309,6 +309,10 @@ void Server::execute_batch(const std::string& graph,
   const Request& head = batch.front().req;
   try {
     if (head.kind == RequestKind::kLoad) {
+      // A reload frees the old cache before the new file is read and
+      // partitioned; its hypergraph and partition stay, so a failed reload
+      // leaves the graph as it was.
+      if (GraphState* old = find_graph(graph)) old->session.release_cache();
       auto state = std::make_unique<GraphState>(&runtime_->ws);
       state->k = head.k > 0 ? head.k : cfg_.default_k;
       state->alpha = head.alpha >= 0 ? head.alpha : cfg_.default_alpha;

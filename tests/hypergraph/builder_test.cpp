@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace hgr {
 namespace {
 
@@ -14,13 +16,25 @@ TEST(HypergraphBuilder, DeduplicatesPinsWithinNet) {
 }
 
 TEST(HypergraphBuilder, DropsSinglePinNetsByDefault) {
-  HypergraphBuilder b(3);
+  HypergraphBuilder b(4);
   b.add_net({0});
   b.add_net({1, 1});  // collapses to a single pin
-  b.add_net({1, 2});
+  b.add_net({2, 1}, 4);
+  b.add_net({3});
+  b.add_net({3, 0, 3, 1}, 6);
   const Hypergraph h = b.finalize();
-  EXPECT_EQ(h.num_nets(), 1);
-  EXPECT_EQ(h.net_size(NetId{0}), 2);
+  ASSERT_EQ(h.num_nets(), 2);
+  // Kept nets keep their order, sorted pins and costs.
+  const std::vector<VertexId> first(h.pins(NetId{0}).begin(),
+                                    h.pins(NetId{0}).end());
+  const std::vector<VertexId> second(h.pins(NetId{1}).begin(),
+                                     h.pins(NetId{1}).end());
+  EXPECT_EQ(first, (std::vector<VertexId>{VertexId{1}, VertexId{2}}));
+  EXPECT_EQ(second, (std::vector<VertexId>{VertexId{0}, VertexId{1},
+                                           VertexId{3}}));
+  EXPECT_EQ(h.net_cost(NetId{0}), 4);
+  EXPECT_EQ(h.net_cost(NetId{1}), 6);
+  h.validate();
 }
 
 TEST(HypergraphBuilder, KeepSinglePinNetsOption) {

@@ -103,6 +103,30 @@ TEST(Hypergraph, SummaryMentionsCounts) {
   EXPECT_NE(s.find("|N|=2"), std::string::npos);
 }
 
+TEST(Hypergraph, ValidateAcceptsPinsSharedAcrossNets) {
+  // Consecutive nets that share pins are not duplicates within a net.
+  const Hypergraph h = make_hypergraph(3, {{0, 1}, {1, 2}, {0, 1, 2}});
+  h.validate();
+}
+
+TEST(HypergraphDeathTest, ValidateCatchesNonAdjacentDuplicatePin) {
+  // Raw CSR: the builder would have deduplicated {0, 1, 0}.
+  const Hypergraph h({0, 2, 5}, {VertexId{1}, VertexId{2}, VertexId{0},
+                                  VertexId{1}, VertexId{0}},
+                     {1, 1, 1}, {1, 1, 1}, {1, 1});
+  EXPECT_DEATH(h.validate(), "duplicate pin within a net");
+}
+
+TEST(HypergraphDeathTest, ValidateCatchesPinOutOfRange) {
+  EXPECT_DEATH(
+      {
+        const Hypergraph h({0, 2}, {VertexId{0}, VertexId{2}}, {1, 1},
+                           {1, 1}, {1});
+        h.validate();
+      },
+      "pin out of range");
+}
+
 TEST(HypergraphDeathTest, ValidateCatchesBadFixed) {
   Hypergraph h = make_hypergraph(2, {{0, 1}});
   h.set_fixed_parts({PartId{5}, kNoPart});

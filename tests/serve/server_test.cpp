@@ -370,6 +370,43 @@ TEST(ServeServer, SameSizeSwapDropsTheDriftBaseline) {
   server.shutdown();
 }
 
+// A LOAD over a loaded graph releases its resident cache before reading
+// the new file. When the file is missing the graph stays as it was: its
+// next DELTA rebuilds the cache once and answers exactly as a twin graph
+// that was never reloaded.
+TEST(ServeServer, FailedReloadKeepsTheGraphAndRebuildsItsCache) {
+  obs::Registry reg;
+  obs::ScopedRegistry scope(reg);
+  ReplyLog log;
+  Server server(serial_cfg(), log_into(log));
+  const std::string path = grid_hgr_path("serve_reload");
+  for (const std::string graph : {"g", "twin"}) {
+    server.submit("LOAD " + graph + " " + path + " k=4");
+    server.submit("DELTA " + graph + " 0:4");
+    server.drain();
+  }
+  const std::uint64_t builds = reg.counter_value("incremental.cache_builds");
+  ASSERT_EQ(builds, 2u);
+
+  const std::uint64_t reload = server.submit(
+      "LOAD g " + ::testing::TempDir() + "/serve_reload_missing.hgr k=4");
+  const std::uint64_t delta = server.submit("DELTA g 40:5");
+  server.drain();
+  EXPECT_EQ(log.count_containing("ERR " + std::to_string(reload) + " "), 1u);
+  EXPECT_EQ(reg.counter_value("incremental.cache_builds"), builds + 1);
+
+  const std::uint64_t twin = server.submit("DELTA twin 40:5");
+  server.drain();
+  EXPECT_EQ(reg.counter_value("incremental.cache_builds"), builds + 1);
+  const std::string got = reply_tail(log, delta);
+  const std::string want = reply_tail(log, twin);
+  ASSERT_EQ(got.rfind("graph=g ", 0), 0u) << got;
+  ASSERT_EQ(want.rfind("graph=twin ", 0), 0u) << want;
+  EXPECT_EQ(got.substr(std::string("graph=g").size()),
+            want.substr(std::string("graph=twin").size()));
+  server.shutdown();
+}
+
 TEST(ServeServer, IdleWorkerFlushesPendingStatsDump) {
   // The satellite-3 end-to-end check: SIGUSR1's request_stats_dump() used
   // to sit pending until the next phase close — which an idle daemon never

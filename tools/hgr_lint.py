@@ -180,8 +180,10 @@ RULES = [
         re.compile(r"std::vector<\s*std::vector<"),
         "use FlatBuffer<T> (parallel/flat_buffer.hpp) or a Workspace "
         "borrow; mark deliberate ragged use with `// hgr-lint: ragged-ok`",
-        # Only the hot comm/partition layers are held to the flat format.
-        lambda path: "parallel" in path.parts or "partition" in path.parts,
+        # The hot comm/partition layers and the hypergraph layer, whose
+        # O(pins) passes run every epoch, are held to the flat format.
+        lambda path: ("parallel" in path.parts or "partition" in path.parts
+                      or "hypergraph" in path.parts),
     ),
 ]
 

@@ -60,9 +60,11 @@ CASES = [
      "auto id = std::this_thread::get_id();\n", 0),
     ("raw-thread/good-marker", "src/core/x.cpp",
      "std::thread t(f);  // hgr-lint: thread-ok (reason)\n", 0),
-    # --- ragged-comm (only parallel/ and partition/) ---
+    # --- ragged-comm (only parallel/, partition/ and hypergraph/) ---
     ("ragged-comm/bad", "src/parallel/x.cpp",
      "std::vector<std::vector<int>> rows;\n", 1),
+    ("ragged-comm/bad-hypergraph", "src/hypergraph/x.cpp",
+     "std::vector<std::vector<Index>> nets_;\n", 1),
     ("ragged-comm/good-layer", "src/metrics/x.cpp",
      "std::vector<std::vector<int>> rows;\n", 0),
     ("ragged-comm/good-marker", "src/parallel/x.cpp",
