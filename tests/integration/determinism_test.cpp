@@ -12,6 +12,7 @@
 
 #include "core/epoch_driver.hpp"
 #include "core/repartitioner.hpp"
+#include "graphpart/gpartitioner.hpp"
 #include "hypergraph/convert.hpp"
 #include "hypergraph/io.hpp"
 #include "parallel/par_partitioner.hpp"
@@ -200,6 +201,65 @@ TEST(Determinism, GoldenPartitionHashes) {
     rcfg.alpha = 100;
     EXPECT_EQ(assignment_hash(hypergraph_repartition(h, old_p, rcfg).partition),
               row.repart);
+  }
+}
+
+struct GoldenGraphRow {
+  const char* dataset;
+  std::uint64_t seed;
+  std::uint64_t partkway;       // partition_graph
+  std::uint64_t adaptive;       // graph_repartition, alpha = 100
+  std::uint64_t graph_scratch;  // graph_scratch (partition_graph + remap)
+};
+
+// The same analogs, seeds and k under the graph-family entry points (the
+// paper's ParMETIS baselines). Regenerate only when a graph algorithm
+// changes on purpose.
+constexpr GoldenGraphRow kGoldenGraph[] = {
+  {"xyce680s-like", 1, 0xb213e9aac6e481a4ULL, 0xba9c8ce9550a7fa5ULL,
+   0xf0d0146d6f626b99ULL},
+  {"xyce680s-like", 17, 0x95b5689e7a279454ULL, 0x21a6ffe278299ed4ULL,
+   0xa45185d91eae14a3ULL},
+  {"2DLipid-like", 1, 0x4246b2ae35e80374ULL, 0x246ba67cc48f9256ULL,
+   0xf32adb0e2cd3ba80ULL},
+  {"2DLipid-like", 17, 0x424c156caae872a7ULL, 0x41ebee8b2eb79125ULL,
+   0xdd8e4895ec229e94ULL},
+  {"auto-like", 1, 0x84708e1aef47c346ULL, 0x95a535b1a0851be9ULL,
+   0x9f9953e638717585ULL},
+  {"auto-like", 17, 0xd7b54fbeb3788ae2ULL, 0x95a535b1a0851be9ULL,
+   0x1aa5ef94e5041a5dULL},
+  {"apoa1-like", 1, 0x1154553ac5e02c65ULL, 0x7847dcd1b4854185ULL,
+   0x6c5d2adddc0e65a5ULL},
+  {"apoa1-like", 17, 0x43e2e32a61aebb84ULL, 0x7847dcd1b4854185ULL,
+   0xb171bb7f6ce46002ULL},
+  {"cage14-like", 1, 0x64d91f3ca3ec8306ULL, 0x6026f3b16b5adf85ULL,
+   0xce4681ac21896037ULL},
+  {"cage14-like", 17, 0x59c0d621e573083bULL, 0x8c747c4680b2f4e5ULL,
+   0xd1b1ca83df7472abULL},
+};
+
+TEST(Determinism, GoldenGraphPartitionHashes) {
+  constexpr Index kParts = 16;
+  for (const GoldenGraphRow& row : kGoldenGraph) {
+    SCOPED_TRACE(std::string(row.dataset) + " seed " +
+                 std::to_string(row.seed));
+    const Graph g = make_dataset(row.dataset, 0.02, 1);
+    PartitionConfig cfg;
+    cfg.num_parts = kParts;
+    cfg.seed = row.seed;
+
+    EXPECT_EQ(assignment_hash(partition_graph(g, cfg)), row.partkway);
+
+    PartitionConfig old_cfg = cfg;
+    old_cfg.seed = 99;
+    const Partition old_p = partition_graph(g, old_cfg);
+    RepartitionerConfig rcfg;
+    rcfg.partition = cfg;
+    rcfg.alpha = 100;
+    EXPECT_EQ(assignment_hash(graph_repartition(g, old_p, rcfg).partition),
+              row.adaptive);
+    EXPECT_EQ(assignment_hash(graph_scratch(g, old_p, rcfg).partition),
+              row.graph_scratch);
   }
 }
 
