@@ -44,84 +44,6 @@ Weight recompute_migration(const Hypergraph& h, const Partition& old_p,
 
 }  // namespace
 
-void validate_hypergraph(const Hypergraph& h, CheckLevel level,
-                         Index num_parts) {
-  if (!enabled(level)) return;
-
-  const auto n = static_cast<std::size_t>(h.num_vertices());
-  HGR_ASSERT_FMT(h.num_vertices() >= 0 && h.num_nets() >= 0,
-                 "negative extents |V|=%d |N|=%d", h.num_vertices(),
-                 h.num_nets());
-  Index pin_total = 0;
-  for (const NetId net : h.nets()) {
-    HGR_ASSERT_FMT(h.net_size(net) >= 0, "net %d has negative size %d", net.v,
-                   h.net_size(net));
-    HGR_ASSERT_FMT(h.net_cost(net) >= 0, "net %d has negative cost %lld",
-                   net.v, static_cast<long long>(h.net_cost(net)));
-    pin_total += h.net_size(net);
-  }
-  HGR_ASSERT_FMT(pin_total == h.num_pins(),
-                 "net sizes sum to %d but num_pins()=%d", pin_total,
-                 h.num_pins());
-  Weight weight_total = 0;
-  for (const VertexId v : h.vertices()) {
-    HGR_ASSERT_FMT(h.vertex_weight(v) >= 0, "vertex %d has weight %lld", v.v,
-                   static_cast<long long>(h.vertex_weight(v)));
-    HGR_ASSERT_FMT(h.vertex_size(v) >= 0, "vertex %d has size %lld", v.v,
-                   static_cast<long long>(h.vertex_size(v)));
-    weight_total += h.vertex_weight(v);
-  }
-  HGR_ASSERT_FMT(weight_total == h.total_vertex_weight(),
-                 "vertex weights sum to %lld but total_vertex_weight()=%lld",
-                 static_cast<long long>(weight_total),
-                 static_cast<long long>(h.total_vertex_weight()));
-  if (h.has_fixed()) {
-    HGR_ASSERT_FMT(h.fixed_parts().size() == n,
-                   "fixed array has %zu entries for %zu vertices",
-                   h.fixed_parts().size(), n);
-    if (num_parts >= 0) {
-      for (const VertexId v : h.vertices())
-        HGR_ASSERT_FMT(
-            h.fixed_part(v) >= kNoPart && h.fixed_part(v).v < num_parts,
-            "vertex %d fixed to part %d, valid range is [-1, %d)", v.v,
-            h.fixed_part(v).v, num_parts);
-    }
-  }
-
-  if (!paranoid(level)) return;
-
-  // Pins in range, no duplicates, and the transpose an exact mirror: count
-  // each vertex's appearances in pin lists and match against its incident
-  // list, then verify every incident net really contains the vertex.
-  IdVector<VertexId, Index> appearances(h.num_vertices(), 0);
-  for (const NetId net : h.nets()) {
-    const auto pins = h.pins(net);
-    for (const VertexId v : pins) {
-      HGR_ASSERT_FMT(v.v >= 0 && v.v < h.num_vertices(),
-                     "net %d has out-of-range pin %d (|V|=%d)", net.v, v.v,
-                     h.num_vertices());
-      ++appearances[v];
-    }
-    for (std::size_t i = 0; i < pins.size(); ++i)
-      for (std::size_t j = i + 1; j < pins.size(); ++j)
-        HGR_ASSERT_FMT(pins[i] != pins[j], "net %d repeats pin %d", net.v,
-                       pins[i].v);
-  }
-  for (const VertexId v : h.vertices()) {
-    HGR_ASSERT_FMT(h.vertex_degree(v) == appearances[v],
-                   "vertex %d: transpose degree %d but %d pin appearances",
-                   v.v, h.vertex_degree(v), appearances[v]);
-    for (const NetId net : h.incident_nets(v)) {
-      HGR_ASSERT_FMT(net.v >= 0 && net.v < h.num_nets(),
-                     "vertex %d lists out-of-range net %d", v.v, net.v);
-      const auto pins = h.pins(net);
-      HGR_ASSERT_FMT(std::find(pins.begin(), pins.end(), v) != pins.end(),
-                     "vertex %d lists net %d which does not pin it", v.v,
-                     net.v);
-    }
-  }
-}
-
 void validate_partition(const Hypergraph& h, const Partition& p,
                         CheckLevel level,
                         const PartitionExpectations& expect) {

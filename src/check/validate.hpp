@@ -18,16 +18,6 @@
 
 namespace hgr::check {
 
-/// Structural invariants of the hypergraph itself.
-///   cheap:    CSR offset arrays sized and monotone, pin/offset totals
-///             agree, non-negative weights/sizes/costs, fixed parts in
-///             [kNoPart, num_parts) when num_parts >= 0.
-///   paranoid: adds pins in range with no duplicate pin within a net, and
-///             the vertex->nets transpose an exact mirror of the net->pins
-///             CSR (same multiset of incidences, both directions).
-void validate_hypergraph(const Hypergraph& h, CheckLevel level,
-                         Index num_parts = -1);
-
 /// Optional cross-checks for validate_partition. Negative sentinel values
 /// (and a null old_partition) mean "not provided, skip that check".
 struct PartitionExpectations {

@@ -179,7 +179,7 @@ EpochRunSummary run_epochs(EpochScenario& scenario,
     const Hypergraph& h = session.hypergraph();
     const Partition& chosen = session.partition();
     if (check::enabled(cfg.partition.check_level)) {
-      check::validate_hypergraph(h, cfg.partition.check_level);
+      h.validate();
       check::PartitionExpectations expect;
       expect.context = problem.first ? "epoch.static" : "epoch.repartition";
       expect.reported_cut = record.cost.comm_volume;

@@ -8,6 +8,7 @@
 #include "common/assert.hpp"
 #include "common/timer.hpp"
 #include "core/repartition_model.hpp"
+#include "graphpart/gpartitioner.hpp"
 #include "graphpart/scratch_remap.hpp"
 #include "obs/events.hpp"
 #include "obs/trace.hpp"
@@ -68,10 +69,7 @@ RepartitionResult graph_repartition(const Graph& g, const Partition& old_p,
                                     const RepartitionerConfig& cfg) {
   HGR_ASSERT(old_p.k == cfg.partition.num_parts);
   WallTimer timer;
-  AdaptiveRepartConfig acfg;
-  acfg.base = cfg.partition;
-  acfg.alpha = cfg.alpha;
-  Partition new_p = adaptive_repartition(g, old_p, acfg);
+  Partition new_p = adaptive_repartition(g, old_p, cfg.partition, cfg.alpha);
   return finish(g, old_p, std::move(new_p), cfg.alpha, timer.seconds());
 }
 

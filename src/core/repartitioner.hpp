@@ -14,7 +14,6 @@
 
 #include "common/stop_token.hpp"
 #include "core/migration_plan.hpp"
-#include "graphpart/adaptive_repart.hpp"
 #include "hypergraph/graph.hpp"
 #include "hypergraph/hypergraph.hpp"
 #include "metrics/cost_model.hpp"

@@ -1,6 +1,5 @@
 #include "hypergraph/convert.hpp"
 
-#include <algorithm>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -52,24 +51,6 @@ Hypergraph graph_to_column_net_hypergraph(const Graph& g) {
     pins.assign(nbrs.begin(), nbrs.end());
     pins.push_back(v);
     b.add_net(pins, 1);
-  }
-  return b.finalize();
-}
-
-Graph hypergraph_to_graph_clique(const Hypergraph& h, Index max_clique_size) {
-  GraphBuilder b(h.num_vertices());
-  for (const VertexId v : h.vertices()) {
-    b.set_vertex_weight(v.v, h.vertex_weight(v));
-    b.set_vertex_size(v.v, h.vertex_size(v));
-  }
-  for (const NetId n : h.nets()) {
-    const auto ps = h.pins(n);
-    const auto s = static_cast<Index>(ps.size());
-    if (s < 2 || s > max_clique_size) continue;
-    const Weight w = std::max<Weight>(1, h.net_cost(n) / (s - 1));
-    for (std::size_t i = 0; i < ps.size(); ++i)
-      for (std::size_t j = i + 1; j < ps.size(); ++j)
-        b.add_edge(ps[i].v, ps[j].v, w);
   }
   return b.finalize();
 }

@@ -24,11 +24,4 @@ Hypergraph graph_to_hypergraph(const Graph& g);
 /// the corresponding matrix with a full diagonal). Net cost = 1.
 Hypergraph graph_to_column_net_hypergraph(const Graph& g);
 
-/// Clique expansion: each net of size s becomes s*(s-1)/2 edges, each with
-/// weight ~ cost/(s-1) (rounded, min 1) — the usual approximation that makes
-/// graph edge cut mimic hypergraph connectivity cut. Nets larger than
-/// max_clique_size are skipped to avoid quadratic blowup on huge nets.
-Graph hypergraph_to_graph_clique(const Hypergraph& h,
-                                 Index max_clique_size = 256);
-
 }  // namespace hgr

@@ -1,6 +1,5 @@
 #include "hypergraph/hypergraph.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <numeric>
 #include <vector>
@@ -69,52 +68,77 @@ void Hypergraph::set_vertex_size(VertexId v, Weight s) {
   vertex_size_[static_cast<std::size_t>(v.v)] = s;
 }
 
-void Hypergraph::scale_net_costs(Weight factor) {
-  HGR_ASSERT(factor >= 1);
-  for (auto& c : net_cost_) c *= factor;
-}
-
 void Hypergraph::validate(Index num_parts) const {
-  HGR_ASSERT(net_offsets_.size() == static_cast<std::size_t>(num_nets_) + 1);
-  HGR_ASSERT(net_offsets_.front() == 0);
-  HGR_ASSERT(net_offsets_.back() == static_cast<Index>(pins_.size()));
-  // last_net[v] is the last net seen to contain v: one marker array finds
-  // duplicate pins in O(pins) with a single allocation.
-  std::vector<NetId> last_net(static_cast<std::size_t>(num_vertices_),
-                              kInvalidNet);
-  for (const NetId n : nets()) {
-    HGR_ASSERT_MSG(net_offsets_[static_cast<std::size_t>(n.v)] <=
-                       net_offsets_[static_cast<std::size_t>(n.v) + 1],
-                   "net offsets not monotone");
-    for (const VertexId v : pins(n)) {
-      HGR_ASSERT_MSG(v.v >= 0 && v.v < num_vertices_, "pin out of range");
-      NetId& last = last_net[static_cast<std::size_t>(v.v)];
-      HGR_ASSERT_MSG(last != n, "duplicate pin within a net");
-      last = n;
-    }
-  }
-  for (const VertexId v : vertices()) {
-    HGR_ASSERT_MSG(vertex_weight(v) >= 0, "negative vertex weight");
-    HGR_ASSERT_MSG(vertex_size(v) >= 0, "negative vertex size");
-    for (const NetId n : incident_nets(v)) {
-      HGR_ASSERT(n.v >= 0 && n.v < num_nets_);
-      const auto ps = pins(n);
-      HGR_ASSERT_MSG(std::find(ps.begin(), ps.end(), v) != ps.end(),
-                     "transpose inconsistent with pins");
-    }
-  }
+  HGR_ASSERT_FMT(num_vertices_ >= 0 && num_nets_ >= 0,
+                 "negative extents |V|=%d |N|=%d", num_vertices_, num_nets_);
+  HGR_ASSERT_FMT(net_offsets_.size() == static_cast<std::size_t>(num_nets_) + 1,
+                 "net offsets have %zu entries for %d nets",
+                 net_offsets_.size(), num_nets_);
+  HGR_ASSERT_FMT(net_offsets_.front() == 0 &&
+                     net_offsets_.back() == static_cast<Index>(pins_.size()),
+                 "net offsets span [%d, %d) but there are %zu pins",
+                 net_offsets_.front(), net_offsets_.back(), pins_.size());
+  // seen[v] counts v's pin appearances so far. build_transpose lists v's
+  // nets in net order, so the next appearance of v, in net n, must be
+  // incident_nets(v)[seen[v]]; and a repeat of v within n shows as the
+  // entry before it already being n. One O(pins) sweep with a single
+  // allocation checks pins, duplicates and the transpose both ways.
+  std::vector<Index> seen(static_cast<std::size_t>(num_vertices_), 0);
   Index pin_count = 0;
-  for (const NetId n : nets()) pin_count += net_size(n);
-  HGR_ASSERT(pin_count == num_pins());
-  for (const NetId n : nets())
-    HGR_ASSERT_MSG(net_cost(n) >= 0, "negative net cost");
-  if (!fixed_.empty() && num_parts >= 0) {
-    for (const VertexId v : vertices()) {
-      HGR_ASSERT_MSG(fixed_part(v) >= kNoPart &&
-                         fixed_part(v).v < num_parts,
-                     "fixed part out of range");
+  for (const NetId n : nets()) {
+    HGR_ASSERT_FMT(net_size(n) >= 0,
+                   "net offsets not monotone: net %d has size %d", n.v,
+                   net_size(n));
+    HGR_ASSERT_FMT(net_cost(n) >= 0, "negative net cost: net %d costs %lld",
+                   n.v, static_cast<long long>(net_cost(n)));
+    pin_count += net_size(n);
+    for (const VertexId v : pins(n)) {
+      HGR_ASSERT_FMT(v.v >= 0 && v.v < num_vertices_,
+                     "pin out of range: net %d has pin %d (|V|=%d)", n.v, v.v,
+                     num_vertices_);
+      Index& i = seen[static_cast<std::size_t>(v.v)];
+      const auto listed = incident_nets(v);
+      HGR_ASSERT_FMT(i == 0 || listed[static_cast<std::size_t>(i) - 1] != n,
+                     "duplicate pin within a net: net %d repeats pin %d", n.v,
+                     v.v);
+      HGR_ASSERT_FMT(i < vertex_degree(v) &&
+                         listed[static_cast<std::size_t>(i)] == n,
+                     "transpose inconsistent with pins: net %d is not entry "
+                     "%d of vertex %d's incident list",
+                     n.v, i, v.v);
+      ++i;
     }
   }
+  HGR_ASSERT_FMT(pin_count == num_pins(), "net sizes sum to %d but %d pins",
+                 pin_count, num_pins());
+  Weight weight_total = 0;
+  for (const VertexId v : vertices()) {
+    HGR_ASSERT_FMT(vertex_weight(v) >= 0,
+                   "negative vertex weight: vertex %d has weight %lld", v.v,
+                   static_cast<long long>(vertex_weight(v)));
+    HGR_ASSERT_FMT(vertex_size(v) >= 0,
+                   "negative vertex size: vertex %d has size %lld", v.v,
+                   static_cast<long long>(vertex_size(v)));
+    HGR_ASSERT_FMT(vertex_degree(v) == seen[static_cast<std::size_t>(v.v)],
+                   "transpose inconsistent with pins: vertex %d has degree %d "
+                   "but %d pin appearances",
+                   v.v, vertex_degree(v), seen[static_cast<std::size_t>(v.v)]);
+    weight_total += vertex_weight(v);
+  }
+  HGR_ASSERT_FMT(weight_total == total_vertex_weight_,
+                 "vertex weights sum to %lld but total_vertex_weight()=%lld",
+                 static_cast<long long>(weight_total),
+                 static_cast<long long>(total_vertex_weight_));
+  if (!has_fixed()) return;
+  HGR_ASSERT_FMT(fixed_.size() == static_cast<std::size_t>(num_vertices_),
+                 "fixed array has %zu entries for %d vertices", fixed_.size(),
+                 num_vertices_);
+  if (num_parts < 0) return;
+  for (const VertexId v : vertices())
+    HGR_ASSERT_FMT(fixed_part(v) >= kNoPart && fixed_part(v).v < num_parts,
+                   "fixed part out of range: vertex %d fixed to part %d, "
+                   "valid range is [-1, %d)",
+                   v.v, fixed_part(v).v, num_parts);
 }
 
 std::string Hypergraph::summary() const {

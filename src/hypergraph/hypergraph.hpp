@@ -103,14 +103,12 @@ class Hypergraph {
   void set_vertex_weight(VertexId v, Weight w);
   void set_vertex_size(VertexId v, Weight s);
 
-  /// Multiply every net cost by factor (the alpha-scaling of the
-  /// repartitioning model). factor must be >= 1.
-  void scale_net_costs(Weight factor);
-
-  /// Abort with a diagnostic if any structural invariant is violated:
-  /// sorted offsets, pins in range, no duplicate pin within a net,
-  /// transpose consistent with pins, non-negative weights/costs,
-  /// fixed parts within [kNoPart, k) for the given k (k < 0 skips that).
+  /// Abort with a diagnostic (operand values included) if any structural
+  /// invariant is violated: non-negative extents, monotone offsets, pins in
+  /// range, no duplicate pin within a net, the transpose an exact mirror of
+  /// the pins, non-negative weights/sizes/costs, total_vertex_weight() equal
+  /// to the weight sum, a fixed array sized |V| with parts in [kNoPart, k)
+  /// for the given k (k < 0 skips the range). O(pins), one allocation.
   void validate(Index num_parts = -1) const;
 
   /// Human-readable one-line summary, e.g. "|V|=682712 |N|=823232 pins=...".

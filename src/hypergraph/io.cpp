@@ -184,12 +184,6 @@ void write_metis_graph(const Graph& g, std::ostream& out) {
   }
 }
 
-void write_metis_graph_file(const Graph& g, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) parse_error("cannot open " + path + " for writing");
-  write_metis_graph(g, out);
-}
-
 Graph read_matrix_market(std::istream& in) {
   std::string line;
   if (!std::getline(in, line)) parse_error("empty MatrixMarket file");

@@ -32,7 +32,6 @@ void write_hmetis_file(const Hypergraph& h, const std::string& path);
 Graph read_metis_graph(std::istream& in);
 Graph read_metis_graph_file(const std::string& path);
 void write_metis_graph(const Graph& g, std::ostream& out);
-void write_metis_graph_file(const Graph& g, const std::string& path);
 
 /// MatrixMarket "coordinate" reader (the SuiteSparse format of the paper's
 /// Table 1 matrices: xyce680s, cage14, ...). The sparsity pattern becomes

@@ -81,8 +81,8 @@ ParallelPartitionResult parallel_partition_hypergraph(
       ws.set_pool(&*thread_pool);
     }
 
-    const CoarseningLimits limits =
-        coarsening_limits(h, cfg.base, 2 * cfg.base.num_parts);
+    const CoarseningLimits limits = coarsening_limits(
+        h.total_vertex_weight(), 2 * cfg.base.num_parts);
     // Only the lead rank counts and validates: every level is replicated
     // and parallel_contract already checksums cross-rank agreement.
     const check::CheckLevel check_level =
@@ -94,7 +94,7 @@ ParallelPartitionResult parallel_partition_hypergraph(
     std::vector<CoarseLevel> levels;
     run_phase("coarsen", [&] {
       levels = build_hierarchy(
-          h, cfg.base, limits.stop_size,
+          h, cfg.base, limits,
           [&](const Hypergraph& current, Index level) {
             const std::uint64_t level_seed =
                 derive_seed(cfg.base.seed, static_cast<std::uint64_t>(level));

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 
 #include "check/check_level.hpp"
 #include "common/types.hpp"
@@ -38,19 +37,6 @@ struct PartitionConfig {
   /// Seed for every randomized stage; same seed => identical partition.
   std::uint64_t seed = 1;
 
-  /// Coarsening stops when the hypergraph has at most
-  /// max(coarsen_to, 2 * num_parts) vertices (paper: "less than 2k")...
-  Index coarsen_to = 100;
-
-  /// ...or when a level shrinks by less than this fraction (paper: 10%).
-  double min_coarsen_reduction = 0.10;
-
-  Index max_levels = 60;
-
-  /// Vertices heavier than max_coarse_weight_factor * (total / coarsen_to)
-  /// are not merged further, preventing unbalanced coarse vertices.
-  double max_coarse_weight_factor = 1.5;
-
   /// Vertices with degree above this sit out IPM matching entirely (the
   /// mutual-proposal rounds need both endpoints to score each other, so a
   /// vertex too expensive to score cannot be a partner either); guards
@@ -73,10 +59,6 @@ struct PartitionConfig {
 
   /// FM pass-pairs per uncoarsening level.
   Index max_refine_passes = 4;
-
-  /// Moves allowed past the last improvement within an FM pass before the
-  /// pass aborts (classic FM early termination).
-  Index fm_move_limit = 350;
 
   KwayMethod kway_method = KwayMethod::kRecursiveBisection;
 
@@ -111,8 +93,6 @@ struct PartitionConfig {
   /// parallel runs install on their communicator; null (default) injects
   /// nothing. See docs/ROBUSTNESS.md.
   std::shared_ptr<const fault::FaultPlan> fault_plan;
-
-  std::string to_string() const;
 };
 
 }  // namespace hgr

@@ -9,39 +9,53 @@
 
 namespace hgr {
 
-Weight max_coarse_vertex_weight(Weight total_weight, Index stop_size,
-                                const PartitionConfig& cfg) {
-  return std::max<Weight>(
-      1, static_cast<Weight>(cfg.max_coarse_weight_factor *
-                             static_cast<double>(total_weight) /
-                             std::max<Index>(1, stop_size)));
+namespace {
+
+// Coarsening stops at max(kCoarsenTo, min_stop) vertices (paper: "less
+// than 2k"), after kMaxLevels levels, or once a contraction shrinks the
+// vertex count by less than kMinCoarsenReduction (paper: 10%).
+constexpr Index kCoarsenTo = 100;
+constexpr Index kMaxLevels = 60;
+constexpr double kMinCoarsenReduction = 0.10;
+// Vertices heavier than kMaxCoarseWeightFactor * (total / stop_size) are
+// not merged further.
+constexpr double kMaxCoarseWeightFactor = 1.5;
+
+}  // namespace
+
+bool CoarseningLimits::may_coarsen(Index level, Index vertices) const {
+  return level < kMaxLevels && vertices > stop_size;
 }
 
-CoarseningLimits coarsening_limits(const Hypergraph& h,
-                                   const PartitionConfig& cfg,
-                                   Index min_stop) {
+bool CoarseningLimits::stalled(Index fine, Index coarse) {
+  const double reduction =
+      1.0 - static_cast<double>(coarse) / static_cast<double>(fine);
+  return reduction < kMinCoarsenReduction;
+}
+
+CoarseningLimits coarsening_limits(Weight total_weight, Index min_stop) {
   CoarseningLimits limits;
-  limits.stop_size = std::max<Index>(cfg.coarsen_to, min_stop);
-  limits.max_vertex_weight =
-      max_coarse_vertex_weight(h.total_vertex_weight(), limits.stop_size, cfg);
+  limits.stop_size = std::max<Index>(kCoarsenTo, min_stop);
+  limits.max_vertex_weight = std::max<Weight>(
+      1, static_cast<Weight>(kMaxCoarseWeightFactor *
+                             static_cast<double>(total_weight) /
+                             std::max<Index>(1, limits.stop_size)));
   return limits;
 }
 
 std::vector<CoarseLevel> build_hierarchy(const Hypergraph& h,
                                          const PartitionConfig& cfg,
-                                         Index stop_size,
+                                         const CoarseningLimits& limits,
                                          const OneLevel& one_level,
                                          bool observe) {
   std::vector<CoarseLevel> levels;
   const Hypergraph* current = &h;
-  for (Index level = 0; level < cfg.max_levels; ++level) {
+  for (Index level = 0; limits.may_coarsen(level, current->num_vertices());
+       ++level) {
     const Index fine_n = current->num_vertices();
-    if (fine_n <= stop_size) break;
     CoarseLevel next = one_level(*current, level);
     const Index coarse_n = next.coarse.num_vertices();
-    const double reduction =
-        1.0 - static_cast<double>(coarse_n) / static_cast<double>(fine_n);
-    if (reduction < cfg.min_coarsen_reduction) break;
+    if (CoarseningLimits::stalled(fine_n, coarse_n)) break;
     if (observe) {
       // Contraction merges matched pairs only (contract asserts that the
       // matching is an involution): each pair removes one vertex.
@@ -66,7 +80,7 @@ std::vector<CoarseLevel> build_ipm_hierarchy(const Hypergraph& h,
                                              const CoarseningLimits& limits,
                                              Rng& rng, Workspace* ws) {
   return build_hierarchy(
-      h, cfg, limits.stop_size, [&](const Hypergraph& current, Index) {
+      h, cfg, limits, [&](const Hypergraph& current, Index) {
         return contract(
             current,
             ipm_matching(current, cfg, limits.max_vertex_weight, rng, ws), ws);

@@ -20,37 +20,46 @@
 
 namespace hgr {
 
-/// Heaviest vertex the matchers may still merge: cfg.max_coarse_weight_factor
-/// times the average weight of `stop_size` coarse vertices, at least 1.
-/// Keeps any one coarse vertex from unbalancing the coarse partition. The
-/// graph partitioners share it.
-Weight max_coarse_vertex_weight(Weight total_weight, Index stop_size,
-                                const PartitionConfig& cfg);
-
+/// The coarsening stop rules of every multilevel loop, hypergraph and graph
+/// alike. A loop coarsens while may_coarsen() holds, and drops a level, then
+/// stops, once stalled() says its contraction barely shrank the vertex count.
 struct CoarseningLimits {
-  Index stop_size = 0;           // coarsest level has at most this many
-  Weight max_vertex_weight = 1;  // see max_coarse_vertex_weight
+  Index stop_size = 0;  // the coarsest level has at most this many vertices
+  /// Heaviest vertex the matchers may still merge: a fixed multiple of the
+  /// average weight of `stop_size` coarse vertices, at least 1. Keeps any
+  /// one coarse vertex from unbalancing the coarse partition.
+  Weight max_vertex_weight = 1;
+
+  /// Whether the level at depth `level` (0 = the input), which has
+  /// `vertices` vertices, is coarsened further: it is above stop_size and
+  /// the level cap is not reached.
+  bool may_coarsen(Index level, Index vertices) const;
+
+  /// Whether contracting `fine` vertices to `coarse` shrank the count by
+  /// less than the stall fraction (paper: 10%).
+  static bool stalled(Index fine, Index coarse);
 };
 
-/// stop_size = max(cfg.coarsen_to, min_stop): `min_stop` is the driver's
-/// floor on the coarsest size (2k for a k-way partition, 20 for a bisection).
-CoarseningLimits coarsening_limits(const Hypergraph& h,
-                                   const PartitionConfig& cfg, Index min_stop);
+/// stop_size = max(100, min_stop): `min_stop` is the driver's floor on the
+/// coarsest size (2k for a hypergraph k-way partition, 20 for a bisection,
+/// 4k for the graph baselines). `total_weight` is the input's total vertex
+/// weight.
+CoarseningLimits coarsening_limits(Weight total_weight, Index min_stop);
 
 /// Matches and contracts `current`, the hypergraph at depth `level` (0 = h).
 using OneLevel = std::function<CoarseLevel(const Hypergraph& current,
                                            Index level)>;
 
-/// Coarsen h until a level has at most `stop_size` vertices, a contraction
-/// shrinks the vertex count by less than cfg.min_coarsen_reduction (the
-/// stalled level is dropped, but its matching has already drawn its random
-/// numbers), or cfg.max_levels levels exist. levels[i].coarse is the
-/// hypergraph at depth i + 1. Each kept level bumps the coarsen.* counters
-/// and is validated at cfg.check_level — unless `observe` is false, for
-/// ranks that must not count a replicated level twice.
+/// Coarsen h until `limits` stop it: a level has at most stop_size
+/// vertices, a contraction stalls (the stalled level is dropped, but its
+/// matching has already drawn its random numbers), or the level cap is
+/// reached. levels[i].coarse is the hypergraph at depth i + 1. Each kept
+/// level bumps the coarsen.* counters and is validated at cfg.check_level —
+/// unless `observe` is false, for ranks that must not count a replicated
+/// level twice.
 std::vector<CoarseLevel> build_hierarchy(const Hypergraph& h,
                                          const PartitionConfig& cfg,
-                                         Index stop_size,
+                                         const CoarseningLimits& limits,
                                          const OneLevel& one_level,
                                          bool observe = true);
 

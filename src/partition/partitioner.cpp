@@ -77,7 +77,8 @@ Partition greedy_kway_initial(const Hypergraph& h, const PartitionConfig& cfg,
 Partition direct_kway_partition(const Hypergraph& h,
                                 const PartitionConfig& cfg, Workspace* ws) {
   Rng rng(cfg.seed);
-  const CoarseningLimits limits = coarsening_limits(h, cfg, 2 * cfg.num_parts);
+  const CoarseningLimits limits =
+      coarsening_limits(h.total_vertex_weight(), 2 * cfg.num_parts);
   std::vector<CoarseLevel> levels;
   {
     obs::TraceScope coarsen_scope("coarsen");
@@ -113,7 +114,8 @@ void refinement_vcycle(const Hypergraph& h, Partition& p,
   std::vector<PartId> part_as_fixed(p.assignment.begin(), p.assignment.end());
   work.set_fixed_parts(std::move(part_as_fixed));
 
-  const CoarseningLimits limits = coarsening_limits(h, cfg, 2 * cfg.num_parts);
+  const CoarseningLimits limits =
+      coarsening_limits(h.total_vertex_weight(), 2 * cfg.num_parts);
   std::vector<CoarseLevel> levels =
       build_ipm_hierarchy(work, cfg, limits, rng, ws);
 
@@ -171,7 +173,6 @@ Partition partition_hypergraph(const Hypergraph& h,
   HGR_ASSERT(cfg.num_parts >= 1);
   HGR_ASSERT(cfg.epsilon >= 0.0);
   h.validate(cfg.num_parts);
-  check::validate_hypergraph(h, cfg.check_level, cfg.num_parts);
 
   if (cfg.num_parts == 1 || h.num_vertices() == 0) {
     Partition p(std::max<Index>(1, cfg.num_parts), h.num_vertices(),

@@ -158,7 +158,8 @@ IdVector<VertexId, PartId> multilevel_bisect(const Hypergraph& h,
                                              const BisectionTargets& targets,
                                              const PartitionConfig& cfg,
                                              Rng& rng, Workspace* ws) {
-  const CoarseningLimits limits = coarsening_limits(h, cfg, 20);
+  const CoarseningLimits limits =
+      coarsening_limits(h.total_vertex_weight(), 20);
   std::vector<CoarseLevel> levels;
   {
     obs::TraceScope coarsen_scope("coarsen");

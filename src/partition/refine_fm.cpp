@@ -13,6 +13,10 @@ namespace hgr {
 
 namespace {
 
+/// Moves allowed past the last improvement within an FM pass before the
+/// pass aborts (classic FM early termination).
+constexpr Index kFmMoveLimit = 350;
+
 /// Lexicographic quality of a bisection state: feasible beats infeasible,
 /// then less overweight, then lower cut. Smaller is better.
 struct StateScore {
@@ -28,12 +32,10 @@ struct StateScore {
 class FmPass {
  public:
   FmPass(const Hypergraph& h, IdVector<VertexId, PartId>& side,
-         const BisectionTargets& targets, const PartitionConfig& cfg,
-         Workspace* ws)
+         const BisectionTargets& targets, Workspace* ws)
       : h_(h),
         side_(side),
         targets_(targets),
-        cfg_(cfg),
         ws_(ws),
         locked_(ws),
         gain_(ws),
@@ -70,7 +72,7 @@ class FmPass {
     Index best_prefix = 0;  // number of moves kept
     Index since_best = 0;
 
-    while (since_best <= cfg_.fm_move_limit) {
+    while (since_best <= kFmMoveLimit) {
       const VertexId v = select_move();
       if (v == kInvalidVertex) break;
       apply_move(v);
@@ -234,7 +236,6 @@ class FmPass {
   const Hypergraph& h_;
   IdVector<VertexId, PartId>& side_;
   const BisectionTargets& targets_;
-  const PartitionConfig& cfg_;
   Workspace* ws_;
 
   Borrowed<bool> locked_;
@@ -262,7 +263,7 @@ FmResult fm_refine_bisection(const Hypergraph& h,
                    "fixed vertex on wrong side entering refinement");
   }
 #endif
-  FmPass pass(h, side, targets, cfg, ws);
+  FmPass pass(h, side, targets, ws);
   FmResult result;
   result.initial_cut = pass.cut();
   for (Index i = 0; i < cfg.max_refine_passes; ++i) {

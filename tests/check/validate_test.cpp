@@ -30,28 +30,6 @@ std::string failure_message(const std::function<void()>& f) {
   return "";
 }
 
-TEST(ValidateHypergraph, WellFormedPassesParanoid) {
-  ScopedAssertHandler guard;
-  const Hypergraph h = testing::random_hypergraph(60, 90, 6, 4, 7);
-  check::validate_hypergraph(h, CheckLevel::kParanoid, 4);
-  check::validate_hypergraph(h, CheckLevel::kCheap);
-}
-
-TEST(ValidateHypergraph, OffLevelNeverFires) {
-  // Even with a malformed fixed array the off level must not look at it.
-  Hypergraph h = testing::make_hypergraph(3, {{0, 1}, {1, 2}});
-  h.set_fixed_parts({PartId{5}, kNoPart, kNoPart});
-  check::validate_hypergraph(h, CheckLevel::kOff, 2);
-}
-
-TEST(ValidateHypergraph, CatchesFixedLabelOutOfRange) {
-  Hypergraph h = testing::make_hypergraph(3, {{0, 1}, {1, 2}});
-  h.set_fixed_parts({PartId{5}, kNoPart, kNoPart});
-  const std::string what = failure_message(
-      [&] { check::validate_hypergraph(h, CheckLevel::kCheap, 2); });
-  EXPECT_NE(what.find("fixed to part 5"), std::string::npos) << what;
-}
-
 TEST(ValidatePartition, CheapCatchesFixedVertexViolation) {
   Hypergraph h = testing::make_hypergraph(4, {{0, 1, 2}, {2, 3}});
   h.set_fixed_parts({PartId{1}, kNoPart, kNoPart, kNoPart});

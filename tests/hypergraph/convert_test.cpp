@@ -109,23 +109,5 @@ TEST(Convert, ColumnNetModel) {
   EXPECT_EQ(h.net_size(NetId{1}), 3);  // vertex 1 with neighbors 0 and 2
 }
 
-TEST(Convert, CliqueExpansionRoundTrip) {
-  const Hypergraph h = testing::make_hypergraph(4, {{0, 1, 2}, {2, 3}});
-  const Graph g = hypergraph_to_graph_clique(h);
-  // Net {0,1,2} -> triangle; net {2,3} -> edge.
-  EXPECT_EQ(g.num_edges(), 4);
-  g.validate();
-}
-
-TEST(Convert, CliqueExpansionSkipsHugeNets) {
-  HypergraphBuilder b(10);
-  std::vector<Index> big;
-  for (Index v = 0; v < 10; ++v) big.push_back(v);
-  b.add_net(big);
-  const Hypergraph h = b.finalize();
-  const Graph g = hypergraph_to_graph_clique(h, /*max_clique_size=*/5);
-  EXPECT_EQ(g.num_edges(), 0);
-}
-
 }  // namespace
 }  // namespace hgr

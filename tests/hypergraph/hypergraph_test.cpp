@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "check/check_level.hpp"
 #include "hypergraph/builder.hpp"
 #include "test_util.hpp"
 
@@ -58,16 +61,6 @@ TEST(Hypergraph, SetVertexWeightUpdatesTotal) {
   EXPECT_EQ(h.total_vertex_weight(), 102);
   h.set_vertex_size(VertexId{1}, 9);
   EXPECT_EQ(h.vertex_size(VertexId{1}), 9);
-}
-
-TEST(Hypergraph, ScaleNetCosts) {
-  HypergraphBuilder b(3);
-  b.add_net({0, 1}, 2);
-  b.add_net({1, 2}, 5);
-  Hypergraph h = b.finalize();
-  h.scale_net_costs(10);
-  EXPECT_EQ(h.net_cost(NetId{0}), 20);
-  EXPECT_EQ(h.net_cost(NetId{1}), 50);
 }
 
 TEST(Hypergraph, FixedPartsDefaultFree) {
@@ -131,6 +124,40 @@ TEST(HypergraphDeathTest, ValidateCatchesBadFixed) {
   Hypergraph h = make_hypergraph(2, {{0, 1}});
   h.set_fixed_parts({PartId{5}, kNoPart});
   EXPECT_DEATH(h.validate(2), "fixed part out of range");
+}
+
+TEST(ValidateHypergraph, WellFormedPassesParanoid) {
+  ScopedAssertHandler guard;
+  const Hypergraph h = testing::random_hypergraph(60, 90, 6, 4, 7);
+  h.validate(4);
+  h.validate();
+}
+
+TEST(ValidateHypergraph, OffLevelNeverFires) {
+  // The epoch driver and hgr_cli validate behind the check-level gate:
+  // even a malformed fixed array goes unexamined at the off level.
+  ScopedAssertHandler guard;
+  Hypergraph h = make_hypergraph(3, {{0, 1}, {1, 2}});
+  h.set_fixed_parts({PartId{5}, kNoPart, kNoPart});
+  if (check::enabled(check::CheckLevel::kOff)) h.validate(2);
+  EXPECT_THROW(
+      {
+        if (check::enabled(check::CheckLevel::kCheap)) h.validate(2);
+      },
+      AssertionError);
+}
+
+TEST(ValidateHypergraph, CatchesFixedLabelOutOfRange) {
+  Hypergraph h = make_hypergraph(3, {{0, 1}, {1, 2}});
+  h.set_fixed_parts({PartId{5}, kNoPart, kNoPart});
+  ScopedAssertHandler guard;
+  std::string what;
+  try {
+    h.validate(2);
+  } catch (const AssertionError& e) {
+    what = e.what();
+  }
+  EXPECT_NE(what.find("fixed to part 5"), std::string::npos) << what;
 }
 
 }  // namespace

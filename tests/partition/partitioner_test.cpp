@@ -132,11 +132,5 @@ TEST(Partitioner, OddK) {
   for (const Weight w : pw) EXPECT_GT(w, 0);
 }
 
-TEST(Partitioner, ConfigToStringMentionsKey) {
-  PartitionConfig cfg;
-  cfg.num_parts = 8;
-  EXPECT_NE(cfg.to_string().find("k=8"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace hgr

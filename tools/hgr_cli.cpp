@@ -358,7 +358,7 @@ int main(int argc, char** argv) {
       }
     }
     if (check::enabled(opt.check_level))
-      check::validate_hypergraph(h, opt.check_level, opt.k);
+      h.validate(opt.k);
 
     if (opt.mode == "partition") {
       obs::set_current_epoch(1);
