@@ -263,6 +263,51 @@ TEST(Determinism, GoldenGraphPartitionHashes) {
   }
 }
 
+struct GoldenParallelRepartRow {
+  const char* dataset;
+  std::uint64_t seed;
+  std::uint64_t repart;  // the epoch policy's hg-repart on 2 ranks
+};
+
+// The same analogs, seeds and k under the parallel repartition path
+// churn-ranks runs: run_repartition_with_policy with num_ranks = 2,
+// alpha = 100, from a seed-99 partition_hypergraph start. Regenerate only
+// when the parallel solver changes on purpose.
+constexpr GoldenParallelRepartRow kGoldenParallelRepart[] = {
+  {"xyce680s-like", 1, 0xd0b4e1bd1c1a97fbULL},
+  {"xyce680s-like", 17, 0xab879550da5a3338ULL},
+  {"2DLipid-like", 1, 0x37c8b2dd7efe57a9ULL},
+  {"2DLipid-like", 17, 0x1a1e1e887c3e0f88ULL},
+  {"auto-like", 1, 0x1e37aaf19d4958efULL},
+  {"auto-like", 17, 0x6f0a2b39b90e75eaULL},
+  {"apoa1-like", 1, 0xcfbbf6d9e1a64925ULL},
+  {"apoa1-like", 17, 0x43d51fba6a8fdfb5ULL},
+  {"cage14-like", 1, 0xb468a604d09f99c5ULL},
+  {"cage14-like", 17, 0x52e354760fd83329ULL},
+};
+
+TEST(Determinism, GoldenParallelRepartitionHashes) {
+  constexpr Index kParts = 16;
+  for (const GoldenParallelRepartRow& row : kGoldenParallelRepart) {
+    SCOPED_TRACE(std::string(row.dataset) + " seed " +
+                 std::to_string(row.seed));
+    const Graph g = make_dataset(row.dataset, 0.02, 1);
+    const Hypergraph h = graph_to_hypergraph(g);
+    RepartitionerConfig rcfg;
+    rcfg.partition.num_parts = kParts;
+    rcfg.partition.seed = 99;
+    const Partition old_p = partition_hypergraph(h, rcfg.partition);
+    rcfg.partition.seed = row.seed;
+    rcfg.alpha = 100;
+    rcfg.num_ranks = 2;
+    const GuardedRepartitionResult r = run_repartition_with_policy(
+        RepartAlgorithm::kHypergraphRepart, h, g, old_p, rcfg);
+    EXPECT_FALSE(r.degraded);
+    EXPECT_EQ(r.retries, 0);
+    EXPECT_EQ(assignment_hash(r.result.partition), row.repart);
+  }
+}
+
 /// FNV-1a over the eight bytes of `word`, continuing from `hash`.
 std::uint64_t fnv_mix(std::uint64_t hash, std::uint64_t word) {
   for (int byte = 0; byte < 8; ++byte) {
