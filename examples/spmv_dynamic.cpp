@@ -8,6 +8,7 @@
 // the paper's repartitioner keeps the distribution good without reshuffling
 // the matrix wholesale. This example also demonstrates running the
 // *parallel* partitioner over the in-process message-passing runtime.
+#include <cstdint>
 #include <cstdio>
 
 #include "core/repartitioner.hpp"
@@ -15,7 +16,7 @@
 #include "hypergraph/convert.hpp"
 #include "metrics/balance.hpp"
 #include "metrics/cut.hpp"
-#include "parallel/par_partitioner.hpp"
+#include "parallel/comm_telemetry.hpp"
 #include "partition/partitioner.hpp"
 #include "workload/generators.hpp"
 
@@ -68,17 +69,23 @@ int main() {
     dist = r.partition;
   }
 
-  // The same repartitioning step, but solved by the parallel partitioner
-  // over the message-passing runtime (4 ranks).
-  ParallelPartitionConfig par;
+  // The same repartitioning step, but the augmented model is solved by
+  // the parallel partitioner over the message-passing runtime (4 ranks).
+  RepartitionerConfig par;
+  par.partition = pcfg;
+  par.alpha = 200;
   par.num_ranks = 4;
-  par.base = pcfg;
-  const ParallelPartitionResult pr =
-      parallel_hypergraph_repartition(spmv, dist, /*alpha=*/200, par);
+  const RepartitionResult pr = hypergraph_repartition(spmv, dist, par);
+  std::uint64_t bytes = 0;
+  std::uint64_t messages = 0;
+  for (const RankCommTelemetry& rank : comm_telemetry_snapshot().ranks) {
+    bytes += rank.bytes_sent;
+    messages += rank.messages_sent;
+  }
   std::printf("parallel (4 ranks): comm volume of result = %lld, "
               "runtime traffic = %llu bytes in %llu messages\n",
-              static_cast<long long>(connectivity_cut(spmv, pr.partition)),
-              static_cast<unsigned long long>(pr.traffic.bytes_sent),
-              static_cast<unsigned long long>(pr.traffic.messages_sent));
+              static_cast<long long>(pr.cost.comm_volume),
+              static_cast<unsigned long long>(bytes),
+              static_cast<unsigned long long>(messages));
   return 0;
 }

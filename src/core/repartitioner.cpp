@@ -40,8 +40,17 @@ RepartitionResult hypergraph_repartition(const Hypergraph& h,
   WallTimer timer;
   const RepartitionModel model =
       build_repartition_model(h, old_p, cfg.alpha);
-  const Partition augmented_p =
-      partition_hypergraph(model.augmented, cfg.partition);
+  Partition augmented_p;
+  if (cfg.num_ranks > 0) {
+    ParallelPartitionConfig pcfg;
+    pcfg.num_ranks = cfg.num_ranks;
+    pcfg.base = cfg.partition;
+    pcfg.deadlock_timeout = cfg.deadlock_timeout;
+    augmented_p =
+        parallel_partition_hypergraph(model.augmented, pcfg).partition;
+  } else {
+    augmented_p = partition_hypergraph(model.augmented, cfg.partition);
+  }
   Partition new_p = decode_augmented_partition(model, augmented_p);
   const double seconds = timer.seconds();
 
@@ -139,26 +148,6 @@ RepartitionResult run_repartition_algorithm(RepartAlgorithm algorithm,
 
 namespace {
 
-/// One attempt: the parallel runtime for the paper's method when
-/// cfg.num_ranks > 0 (the path fault plans can perturb), the serial
-/// dispatch otherwise. Throws whatever the attempt throws.
-RepartitionResult attempt_repartition(RepartAlgorithm algorithm,
-                                      const Hypergraph& h, const Graph& g,
-                                      const Partition& old_p,
-                                      const RepartitionerConfig& cfg) {
-  if (cfg.num_ranks > 0 &&
-      algorithm == RepartAlgorithm::kHypergraphRepart) {
-    ParallelPartitionConfig pcfg;
-    pcfg.num_ranks = cfg.num_ranks;
-    pcfg.base = cfg.partition;
-    pcfg.deadlock_timeout = cfg.deadlock_timeout;
-    ParallelPartitionResult pr =
-        parallel_hypergraph_repartition(h, old_p, cfg.alpha, pcfg);
-    return finish(h, old_p, std::move(pr.partition), cfg.alpha, pr.seconds);
-  }
-  return run_repartition_algorithm(algorithm, h, g, old_p, cfg);
-}
-
 /// Exponential backoff before retry `attempt` (1-based). The exponent is
 /// capped — 2^30 backoff units is already beyond any plausible schedule —
 /// and the shift is computed in int64_t, so max_retries >= 31 saturates
@@ -207,7 +196,8 @@ GuardedRepartitionResult run_repartition_with_policy(
     }
     ++performed;
     try {
-      RepartitionResult r = attempt_repartition(algorithm, h, g, old_p, cfg);
+      RepartitionResult r =
+          run_repartition_algorithm(algorithm, h, g, old_p, cfg);
       if (cfg.epoch_time_budget > 0.0 && r.seconds > cfg.epoch_time_budget) {
         // Over budget is non-retryable: the attempt *completed*, it was
         // just too slow, and rerunning the same full-cost computation
@@ -248,9 +238,7 @@ GuardedRepartitionResult run_repartition_with_policy(
   WallTimer timer;
   if (cfg.fallback == EpochFallback::kScratch && !stopped) {
     try {
-      RepartitionerConfig serial = cfg;
-      serial.num_ranks = 0;
-      out.result = hypergraph_scratch(h, old_p, serial);
+      out.result = hypergraph_scratch(h, old_p, cfg);
       out.result.seconds = timer.seconds();
       return out;
     } catch (const std::exception& e) {

@@ -41,9 +41,9 @@ struct RepartitionerConfig {
 
   // --- parallel execution + graceful degradation (docs/ROBUSTNESS.md) ---
 
-  /// >0: kHypergraphRepart repartitions run on the in-process parallel
-  /// runtime with this many ranks (the surface fault plans perturb);
-  /// 0 (default) keeps every algorithm serial.
+  /// >0: hypergraph_repartition solves the augmented model on the
+  /// in-process parallel runtime with this many ranks (the surface fault
+  /// plans perturb); 0 (default) keeps every algorithm serial.
   int num_ranks = 0;
   /// Watchdog timeout for the parallel path (seconds; 0 disables). An
   /// injected stall only surfaces as CommDeadlock while this is nonzero.
@@ -78,7 +78,10 @@ struct RepartitionResult {
 };
 
 /// The paper's method: repartitioning via hypergraph partitioning with
-/// fixed vertices on the augmented model ("Zoltan-repart").
+/// fixed vertices on the augmented model ("Zoltan-repart"). The model is
+/// solved serially, or by parallel_partition_hypergraph on cfg.num_ranks
+/// ranks when that is > 0; either way the decoded answer is checked
+/// against the model identity cut = alpha * comm + migration.
 RepartitionResult hypergraph_repartition(const Hypergraph& h,
                                          const Partition& old_p,
                                          const RepartitionerConfig& cfg);

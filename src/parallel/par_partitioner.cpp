@@ -12,7 +12,6 @@
 #include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "common/workspace.hpp"
-#include "core/repartition_model.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/trace.hpp"
 #include "parallel/par_coarsen.hpp"
@@ -159,22 +158,6 @@ ParallelPartitionResult parallel_partition_hypergraph(
     check::validate_partition(h, result.partition, cfg.base.check_level,
                               expect);
   }
-  return result;
-}
-
-ParallelPartitionResult parallel_hypergraph_repartition(
-    const Hypergraph& h, const Partition& old_p, Weight alpha,
-    const ParallelPartitionConfig& cfg) {
-  HGR_ASSERT(old_p.k == cfg.base.num_parts);
-  WallTimer timer;
-  const RepartitionModel model = build_repartition_model(h, old_p, alpha);
-  ParallelPartitionResult augmented =
-      parallel_partition_hypergraph(model.augmented, cfg);
-  ParallelPartitionResult result;
-  result.partition = decode_augmented_partition(model, augmented.partition);
-  result.traffic = augmented.traffic;
-  result.levels = augmented.levels;
-  result.seconds = timer.seconds();
   return result;
 }
 

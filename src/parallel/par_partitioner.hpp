@@ -2,13 +2,11 @@
 // (paper Section 4): coarsening by round-based candidate-broadcast IPM,
 // replicated randomized coarse partitioning with a global best pick, and
 // synchronized localized refinement pass-pairs — executed by p ranks over
-// the in-process message-passing runtime.
-//
-// Also provides the parallel form of the paper's headline operation:
-// repartitioning via the augmented model, solved in parallel.
+// the in-process message-passing runtime. hypergraph_repartition
+// (core/repartitioner.hpp) solves the paper's augmented model with it when
+// RepartitionerConfig::num_ranks > 0.
 #pragma once
 
-#include "core/repartitioner.hpp"
 #include "hypergraph/hypergraph.hpp"
 #include "metrics/partition.hpp"
 #include "parallel/comm.hpp"
@@ -41,11 +39,5 @@ struct ParallelPartitionResult {
 /// partition is rank 0's.
 ParallelPartitionResult parallel_partition_hypergraph(
     const Hypergraph& h, const ParallelPartitionConfig& cfg);
-
-/// Parallel Zoltan-repart: build the augmented repartitioning hypergraph
-/// and solve it with the parallel fixed-vertex partitioner.
-ParallelPartitionResult parallel_hypergraph_repartition(
-    const Hypergraph& h, const Partition& old_p, Weight alpha,
-    const ParallelPartitionConfig& cfg);
 
 }  // namespace hgr

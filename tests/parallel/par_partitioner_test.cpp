@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/repartition_model.hpp"
+#include "core/repartitioner.hpp"
 #include "hypergraph/convert.hpp"
 #include "metrics/balance.hpp"
 #include "metrics/cut.hpp"
@@ -79,11 +79,11 @@ TEST(ParPartitioner, ParallelRepartitionDecodesAndMigratesLittle) {
   scfg.num_parts = 4;
   const Partition old_p = partition_hypergraph(h, scfg);
 
-  ParallelPartitionConfig cfg;
+  RepartitionerConfig cfg;
   cfg.num_ranks = 2;
-  cfg.base.num_parts = 4;
-  const ParallelPartitionResult r =
-      parallel_hypergraph_repartition(h, old_p, /*alpha=*/1, cfg);
+  cfg.partition.num_parts = 4;
+  cfg.alpha = 1;
+  const RepartitionResult r = hypergraph_repartition(h, old_p, cfg);
   EXPECT_EQ(r.partition.num_vertices(), h.num_vertices());
   r.partition.validate();
   // alpha=1 on an unchanged problem: the augmented model should pin most

@@ -415,9 +415,9 @@ int main(int argc, char** argv) {
       GuardedRepartitionResult guarded;
       {
         obs::TraceScope repart_scope("repartition");
-        // Both paths run through the graceful-degradation policy: with
-        // --ranks=P the attempt is the parallel runtime (the surface
-        // --fault-plan perturbs), serially it is hypergraph_repartition.
+        // Both paths run hypergraph_repartition through the
+        // graceful-degradation policy; with --ranks=P it solves the model
+        // on the parallel runtime (the surface --fault-plan perturbs).
         RepartitionerConfig rcfg;
         rcfg.partition = pcfg;
         rcfg.partition.incremental = opt.incremental;
