@@ -18,6 +18,55 @@ struct Proposal {
   std::int32_t rank;
 };
 
+/// A candidate's chosen partner and the summed cost of their shared nets.
+struct Partner {
+  Index id = kInvalidIndex;
+  Weight score = 0;
+};
+
+/// The IPM partner scan shared by both matchings: scores c against the
+/// still-unmatched vertices of [lo, hi) over its nets of scorable size and
+/// nonzero cost, then picks the highest score among the fixed-compatible
+/// pairs under the weight cap, breaking ties by lighter weight, then lower
+/// id. `score` is all-zero on entry and on return.
+Partner best_partner(const Hypergraph& h, const PartitionConfig& cfg,
+                     const std::vector<Index>& match, Index c, Index lo,
+                     Index hi, Weight max_vertex_weight,
+                     std::vector<Weight>& score, std::vector<Index>& touched) {
+  touched.clear();
+  for (const NetId net : h.incident_nets(VertexId{c})) {
+    const Index net_size = h.net_size(net);
+    if (net_size < 2 || net_size > cfg.max_scored_net_size) continue;
+    const Weight cost = h.net_cost(net);
+    if (cost == 0) continue;
+    for (const VertexId pin : h.pins(net)) {
+      const Index u = to_raw(pin);
+      if (u == c || u < lo || u >= hi) continue;  // not ours
+      if (match[static_cast<std::size_t>(u)] != u) continue;
+      if (score[static_cast<std::size_t>(u)] == 0) touched.push_back(u);
+      score[static_cast<std::size_t>(u)] += cost;
+    }
+  }
+  const PartId fc = h.fixed_part(VertexId{c});
+  const Weight wc = h.vertex_weight(VertexId{c});
+  Partner best;
+  Weight best_weight = 0;
+  for (const Index u : touched) {
+    const Weight s = score[static_cast<std::size_t>(u)];
+    score[static_cast<std::size_t>(u)] = 0;
+    if (!fixed_compatible(fc, h.fixed_part(VertexId{u}))) continue;
+    const Weight wu = h.vertex_weight(VertexId{u});
+    if (max_vertex_weight > 0 && wc + wu > max_vertex_weight) continue;
+    if (best.id == kInvalidIndex || s > best.score ||
+        (s == best.score &&
+         (wu < best_weight || (wu == best_weight && u < best.id)))) {
+      best = {u, s};
+      best_weight = wu;
+    }
+  }
+  return best;
+}
+
 }  // namespace
 
 std::vector<Index> parallel_ipm_matching(RankContext& ctx,
@@ -67,43 +116,10 @@ std::vector<Index> parallel_ipm_matching(RankContext& ctx,
     std::vector<Proposal> proposals;
     for (const Index c : all_candidates.all()) {
       if (match[static_cast<std::size_t>(c)] != c) continue;
-      const PartId fc = h.fixed_part(VertexId{c});
-      const Weight wc = h.vertex_weight(VertexId{c});
-      touched.clear();
-      for (const NetId net : h.incident_nets(VertexId{c})) {
-        const Index net_size = h.net_size(net);
-        if (net_size < 2 || net_size > cfg.max_scored_net_size) continue;
-        const Weight cost = h.net_cost(net);
-        if (cost == 0) continue;
-        for (const VertexId pin : h.pins(net)) {
-          const Index u = to_raw(pin);
-          if (u == c || u < lo || u >= hi) continue;  // not ours
-          if (match[static_cast<std::size_t>(u)] != u) continue;
-          if (score[static_cast<std::size_t>(u)] == 0) touched.push_back(u);
-          score[static_cast<std::size_t>(u)] += cost;
-        }
-      }
-      Index best = kInvalidIndex;
-      Weight best_score = 0;
-      Weight best_weight = 0;
-      for (const Index u : touched) {
-        const Weight s = score[static_cast<std::size_t>(u)];
-        score[static_cast<std::size_t>(u)] = 0;
-        if (!fixed_compatible(fc, h.fixed_part(VertexId{u}))) continue;
-        if (max_vertex_weight > 0 &&
-            wc + h.vertex_weight(VertexId{u}) > max_vertex_weight)
-          continue;
-        const Weight wu = h.vertex_weight(VertexId{u});
-        if (best == kInvalidIndex || s > best_score ||
-            (s == best_score &&
-             (wu < best_weight || (wu == best_weight && u < best)))) {
-          best = u;
-          best_score = s;
-          best_weight = wu;
-        }
-      }
-      if (best != kInvalidIndex)
-        proposals.push_back({c, best, best_score,
+      const Partner best = best_partner(h, cfg, match, c, lo, hi,
+                                        max_vertex_weight, score, touched);
+      if (best.id != kInvalidIndex)
+        proposals.push_back({c, best.id, best.score,
                              static_cast<std::int32_t>(ctx.rank())});
     }
 
@@ -169,41 +185,9 @@ std::vector<Index> local_ipm_matching(RankContext& ctx, const Hypergraph& h,
   for (const Index v : order) {
     if (match[static_cast<std::size_t>(v)] != v) continue;
     if (h.vertex_degree(VertexId{v}) > cfg.max_matching_degree) continue;
-    const PartId fv = h.fixed_part(VertexId{v});
-    const Weight wv = h.vertex_weight(VertexId{v});
-    touched.clear();
-    for (const NetId net : h.incident_nets(VertexId{v})) {
-      const Index size = h.net_size(net);
-      if (size < 2 || size > cfg.max_scored_net_size) continue;
-      const Weight c = h.net_cost(net);
-      if (c == 0) continue;
-      for (const VertexId pin : h.pins(net)) {
-        const Index u = to_raw(pin);
-        if (u == v || u < lo || u >= hi) continue;  // local partners only
-        if (match[static_cast<std::size_t>(u)] != u) continue;
-        if (score[static_cast<std::size_t>(u)] == 0) touched.push_back(u);
-        score[static_cast<std::size_t>(u)] += c;
-      }
-    }
-    Index best = kInvalidIndex;
-    Weight best_score = 0;
-    Weight best_weight = 0;
-    for (const Index u : touched) {
-      const Weight s = score[static_cast<std::size_t>(u)];
-      score[static_cast<std::size_t>(u)] = 0;
-      if (!fixed_compatible(fv, h.fixed_part(VertexId{u}))) continue;
-      if (max_vertex_weight > 0 &&
-          wv + h.vertex_weight(VertexId{u}) > max_vertex_weight)
-        continue;
-      const Weight wu = h.vertex_weight(VertexId{u});
-      if (best == kInvalidIndex || s > best_score ||
-          (s == best_score &&
-           (wu < best_weight || (wu == best_weight && u < best)))) {
-        best = u;
-        best_score = s;
-        best_weight = wu;
-      }
-    }
+    const Index best = best_partner(h, cfg, match, v, lo, hi,
+                                    max_vertex_weight, score, touched)
+                           .id;
     if (best != kInvalidIndex) {
       match[static_cast<std::size_t>(v)] = best;
       match[static_cast<std::size_t>(best)] = v;
