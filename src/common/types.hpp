@@ -136,25 +136,6 @@ inline std::span<const Id> from_raw_span(
   return {reinterpret_cast<const Id*>(raw.data()), raw.size()};
 }
 
-/// Element-wise bulk conversion raw integers -> ids (IO boundary).
-template <class Id, class I>
-inline std::vector<Id> from_raw_vector(const std::vector<I>& raw) {
-  std::vector<Id> out;
-  out.reserve(raw.size());
-  for (const I r : raw) out.push_back(from_raw<Id>(r));
-  return out;
-}
-
-/// Element-wise bulk conversion ids -> raw integers (IO boundary).
-template <class Tag>
-inline std::vector<typename StrongId<Tag>::Raw> to_raw_vector(
-    const std::vector<StrongId<Tag>>& ids) {
-  std::vector<typename StrongId<Tag>::Raw> out;
-  out.reserve(ids.size());
-  for (const StrongId<Tag> id : ids) out.push_back(id.v);
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // Id ranges: iterate an id space without touching raw integers.
 //

@@ -21,7 +21,6 @@ class HypergraphBuilder {
   explicit HypergraphBuilder(Index num_vertices);
 
   Index num_vertices() const { return num_vertices_; }
-  Index num_nets_added() const { return static_cast<Index>(net_costs_.size()); }
 
   /// Add a net over the given pins with the given cost. Duplicate pins are
   /// removed. Returns the net's index among *added* nets; note that nets

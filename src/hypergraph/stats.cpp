@@ -1,7 +1,6 @@
 #include "hypergraph/stats.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <vector>
 
 namespace hgr {
@@ -38,16 +37,6 @@ DegreeStats hypergraph_vertex_degree_stats(const Hypergraph& h) {
 
 DegreeStats hypergraph_net_size_stats(const Hypergraph& h) {
   return stats_over(h.num_nets(), [&](Index n) { return h.net_size(NetId{n}); });
-}
-
-std::string table1_row(const std::string& name, const Graph& g,
-                       const std::string& application_area) {
-  const DegreeStats d = graph_degree_stats(g);
-  char buf[256];
-  std::snprintf(buf, sizeof(buf), "%-14s %9d %10d %6d %6d %8.1f  %s",
-                name.c_str(), g.num_vertices(), g.num_edges(), d.min, d.max,
-                d.avg, application_area.c_str());
-  return buf;
 }
 
 bool is_connected(const Graph& g) {

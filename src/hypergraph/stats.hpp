@@ -2,8 +2,6 @@
 // (|V|, |E|, min/max/avg vertex degree) plus net-size statistics.
 #pragma once
 
-#include <string>
-
 #include "hypergraph/graph.hpp"
 #include "hypergraph/hypergraph.hpp"
 
@@ -18,10 +16,6 @@ struct DegreeStats {
 DegreeStats graph_degree_stats(const Graph& g);
 DegreeStats hypergraph_vertex_degree_stats(const Hypergraph& h);
 DegreeStats hypergraph_net_size_stats(const Hypergraph& h);
-
-/// One row of Table 1: "name  |V|  |E|  min  max  avg  area".
-std::string table1_row(const std::string& name, const Graph& g,
-                       const std::string& application_area);
 
 /// Whether the graph is connected (BFS from vertex 0; empty graph counts
 /// as connected).

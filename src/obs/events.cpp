@@ -145,8 +145,6 @@ void set_events_enabled(bool on) {
 
 void set_thread_rank(int rank) { tl_rank = rank; }
 
-int thread_rank() { return tl_rank; }
-
 const char* intern_event_name(std::string_view name) {
   static std::mutex mutex;
   static std::set<std::string, std::less<>> names;

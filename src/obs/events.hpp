@@ -56,7 +56,6 @@ void set_events_enabled(bool on);
 /// Rank attribution for the calling thread (-1 clears). Cheap; the comm
 /// runtime calls this unconditionally on every rank thread.
 void set_thread_rank(int rank);
-int thread_rank();
 
 /// Intern `name` into stable storage; returns a pointer usable as an event
 /// name for the rest of the process. Takes a lock — intern once, not per

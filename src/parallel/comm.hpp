@@ -192,14 +192,6 @@ class RankContext {
   T allreduce_sum(T value) {
     return allreduce<T>(value, [](T a, T b) { return a + b; });
   }
-  template <typename T>
-  T allreduce_max(T value) {
-    return allreduce<T>(value, [](T a, T b) { return a > b ? a : b; });
-  }
-  template <typename T>
-  T allreduce_min(T value) {
-    return allreduce<T>(value, [](T a, T b) { return a < b ? a : b; });
-  }
 
   /// Personalized all-to-all over flat buffers: outgoing slot d goes to
   /// rank d; incoming slot s holds rank s's slice for this rank. The

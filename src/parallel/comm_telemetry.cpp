@@ -160,9 +160,4 @@ CommTelemetry comm_telemetry_snapshot() {
   return g_telemetry;
 }
 
-void reset_comm_telemetry() {
-  std::lock_guard lock(g_telemetry_mutex);
-  g_telemetry = CommTelemetry{};
-}
-
 }  // namespace hgr

@@ -110,9 +110,8 @@ struct CommTelemetry {
 };
 
 /// Process-global accumulator (mutex-protected). The comm runtime folds
-/// every finished run in; reset between measurement windows.
+/// every finished run in; the snapshot covers every run since start-up.
 void accumulate_comm_telemetry(const CommTelemetry& run);
 CommTelemetry comm_telemetry_snapshot();
-void reset_comm_telemetry();
 
 }  // namespace hgr

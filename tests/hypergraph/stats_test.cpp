@@ -37,14 +37,6 @@ TEST(Stats, EmptyGraphStats) {
   EXPECT_DOUBLE_EQ(s.avg, 0.0);
 }
 
-TEST(Stats, Table1RowContainsFields) {
-  const Graph g = make_graph(3, {{0, 1}, {1, 2}});
-  const std::string row = table1_row("demo", g, "Testing");
-  EXPECT_NE(row.find("demo"), std::string::npos);
-  EXPECT_NE(row.find("Testing"), std::string::npos);
-  EXPECT_NE(row.find("3"), std::string::npos);
-}
-
 TEST(Stats, Connectivity) {
   EXPECT_TRUE(is_connected(make_graph(3, {{0, 1}, {1, 2}})));
   EXPECT_FALSE(is_connected(make_graph(4, {{0, 1}, {2, 3}})));

@@ -72,8 +72,14 @@ TEST(Comm, Allreduce) {
   Comm comm(4);
   comm.run([](RankContext& ctx) {
     EXPECT_EQ(ctx.allreduce_sum<std::int64_t>(ctx.rank() + 1), 10);
-    EXPECT_EQ(ctx.allreduce_max<std::int64_t>(ctx.rank()), 3);
-    EXPECT_EQ(ctx.allreduce_min<std::int64_t>(ctx.rank()), 0);
+    const auto max = [](std::int64_t a, std::int64_t b) {
+      return a > b ? a : b;
+    };
+    const auto min = [](std::int64_t a, std::int64_t b) {
+      return a < b ? a : b;
+    };
+    EXPECT_EQ(ctx.allreduce<std::int64_t>(ctx.rank(), max), 3);
+    EXPECT_EQ(ctx.allreduce<std::int64_t>(ctx.rank(), min), 0);
   });
 }
 
